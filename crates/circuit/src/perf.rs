@@ -12,14 +12,17 @@
 //! ([`PerfSnapshot::delta_since`]); that works from any number of threads
 //! because every worker flushes into the same atomics.
 //!
+//! Every flush also lands in a **per-thread** mirror ([`thread_snapshot`])
+//! in the same place, so a caller that owns its thread — a dist worker
+//! computing one unit, the Monte Carlo sample loop, a single-threaded
+//! test — can attribute work to a region exactly, without interference
+//! from analyses running concurrently on other threads. Summed over the
+//! threads that did the work, the per-thread deltas equal the global one.
+//!
 //! The `recoveries_*` counters make the solver recovery ladder
 //! ([`crate::recovery::RecoveryPolicy`]) observable: on a healthy run all
 //! of them stay zero, and any nonzero value is the exact count of ladder
-//! work a phase consumed. They are additionally accumulated **per
-//! thread** ([`thread_recoveries`]) so a caller that owns its worker
-//! thread — the Monte Carlo sample loop, a single-threaded test — can
-//! attribute recovery cost to one sample exactly, without interference
-//! from concurrent analyses.
+//! work a phase consumed.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -39,7 +42,12 @@ static BATCH_LANE_STEPS: AtomicU64 = AtomicU64::new(0);
 static SCALAR_FALLBACKS: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
-    static TL_RECOVERY_ATTEMPTS: Cell<u64> = const { Cell::new(0) };
+    static THREAD: Cell<PerfSnapshot> = Cell::new(PerfSnapshot::default());
+}
+
+/// Adds `delta` to the calling thread's mirror of the counters.
+fn bump_thread(delta: &PerfSnapshot) {
+    THREAD.with(|t| t.set(t.get().saturating_add(delta)));
 }
 
 /// A point-in-time reading of the global hot-path counters.
@@ -180,6 +188,11 @@ pub fn record_batch_rounds(rounds: u64, lane_steps: u64) {
     if lane_steps > 0 {
         BATCH_LANE_STEPS.fetch_add(lane_steps, Ordering::Relaxed);
     }
+    bump_thread(&PerfSnapshot {
+        batched_steps: rounds,
+        batch_lane_steps: lane_steps,
+        ..PerfSnapshot::default()
+    });
 }
 
 /// Records one sample the batch scheduler handed back to the scalar
@@ -187,14 +200,24 @@ pub fn record_batch_rounds(rounds: u64, lane_steps: u64) {
 /// the peel-off decision.
 pub fn record_scalar_fallback() {
     SCALAR_FALLBACKS.fetch_add(1, Ordering::Relaxed);
+    bump_thread(&PerfSnapshot {
+        scalar_fallbacks: 1,
+        ..PerfSnapshot::default()
+    });
 }
 
-/// Total recovery-ladder attempts flushed **by the current thread** since
-/// it started (monotone). Subtract two readings to attribute recovery work
-/// to a region that runs entirely on this thread — exact even while other
-/// threads simulate concurrently.
+/// The counters flushed **by the current thread** since it started
+/// (monotone). Subtract two readings to attribute work to a region that
+/// runs entirely on this thread — exact even while other threads simulate
+/// concurrently.
+pub fn thread_snapshot() -> PerfSnapshot {
+    THREAD.with(Cell::get)
+}
+
+/// Total recovery-ladder attempts flushed by the current thread: the
+/// [`thread_snapshot`] view of [`PerfSnapshot::recovery_attempts`].
 pub fn thread_recovery_attempts() -> u64 {
-    TL_RECOVERY_ATTEMPTS.with(Cell::get)
+    thread_snapshot().recovery_attempts()
 }
 
 /// Locally accumulated counts, flushed to the globals in one shot.
@@ -213,7 +236,8 @@ pub(crate) struct LocalCounts {
 
 impl LocalCounts {
     /// Flushes the accumulated counts (plus one completed transient if
-    /// `transient` is set) into the global counters.
+    /// `transient` is set) into the global counters and the calling
+    /// thread's mirror.
     pub fn flush(&self, transient: bool) {
         if transient {
             TRANSIENTS.fetch_add(1, Ordering::Relaxed);
@@ -248,11 +272,23 @@ impl LocalCounts {
             if self.recoveries_failed > 0 {
                 RECOVERIES_FAILED.fetch_add(self.recoveries_failed, Ordering::Relaxed);
             }
-            TL_RECOVERY_ATTEMPTS.with(|c| c.set(c.get() + recoveries));
         }
         if self.cancellations > 0 {
             CANCELLATIONS.fetch_add(self.cancellations, Ordering::Relaxed);
         }
+        bump_thread(&PerfSnapshot {
+            transients: u64::from(transient),
+            timesteps: self.timesteps,
+            newton_iterations: self.newton_iterations,
+            lu_factorizations: self.lu_factorizations,
+            recoveries_damped: self.recoveries_damped,
+            recoveries_dt_halved: self.recoveries_dt_halved,
+            recoveries_gmin: self.recoveries_gmin,
+            recoveries_source: self.recoveries_source,
+            recoveries_failed: self.recoveries_failed,
+            cancellations: self.cancellations,
+            ..PerfSnapshot::default()
+        });
     }
 }
 
@@ -276,6 +312,46 @@ mod tests {
         assert!(d.timesteps >= 7);
         assert!(d.newton_iterations >= 21);
         assert!(d.lu_factorizations >= 21);
+    }
+
+    #[test]
+    fn thread_mirror_is_exact_for_this_thread() {
+        let before = thread_snapshot();
+        LocalCounts {
+            timesteps: 7,
+            newton_iterations: 21,
+            lu_factorizations: 21,
+            cancellations: 1,
+            ..LocalCounts::default()
+        }
+        .flush(true);
+        record_batch_rounds(5, 37);
+        record_scalar_fallback();
+        // Another thread's work never reaches this thread's mirror.
+        std::thread::spawn(|| {
+            LocalCounts {
+                newton_iterations: 1_000,
+                ..LocalCounts::default()
+            }
+            .flush(true);
+        })
+        .join()
+        .unwrap();
+        let d = thread_snapshot().delta_since(&before);
+        assert_eq!(
+            d,
+            PerfSnapshot {
+                transients: 1,
+                timesteps: 7,
+                newton_iterations: 21,
+                lu_factorizations: 21,
+                cancellations: 1,
+                batched_steps: 5,
+                batch_lane_steps: 37,
+                scalar_fallbacks: 1,
+                ..PerfSnapshot::default()
+            }
+        );
     }
 
     #[test]

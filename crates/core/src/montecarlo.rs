@@ -335,10 +335,10 @@ impl McConfig {
 
 /// Hot-path cost accounting of one Monte Carlo corner.
 ///
-/// Counter deltas are taken from the process-global performance counters
-/// ([`issa_circuit::perf`], [`crate::perf`]) around each phase, so they
-/// include work from any *concurrent* analyses in the same process — in
-/// normal single-analysis use they are exact.
+/// Counter deltas are read from the thread-scoped performance counters
+/// ([`issa_circuit::perf::thread_snapshot`],
+/// [`crate::perf::thread_sense_calls`]) on every thread the run uses, so
+/// they are exact even while other analyses run in the same process.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct McPerf {
     /// Wall-clock time of the offset phase \[s\].
@@ -809,6 +809,48 @@ pub fn run_mc(cfg: &McConfig) -> Result<McResult, SaError> {
     run_mc_controlled(cfg, &McControl::default())
 }
 
+/// Hot-path work, read from the thread-scoped counters so that analyses
+/// running elsewhere in the process never leak into a run's [`McPerf`].
+#[derive(Default)]
+struct Work {
+    circuit: issa_circuit::PerfSnapshot,
+    probes: u64,
+}
+
+impl Work {
+    /// This thread's counters so far.
+    fn reading() -> Work {
+        Work {
+            circuit: issa_circuit::perf::thread_snapshot(),
+            probes: crate::perf::thread_sense_calls(),
+        }
+    }
+
+    fn since(&self, earlier: &Work) -> Work {
+        Work {
+            circuit: self.circuit.delta_since(&earlier.circuit),
+            probes: self.probes - earlier.probes,
+        }
+    }
+
+    fn add(&mut self, other: &Work) {
+        self.circuit = self.circuit.saturating_add(&other.circuit);
+        self.probes += other.probes;
+    }
+}
+
+/// Runs `f` and adds the work it did on this thread to `total`.
+fn counted<T>(total: &std::sync::Mutex<Work>, f: impl FnOnce() -> T) -> T {
+    let before = Work::reading();
+    let out = f();
+    let done = Work::reading().since(&before);
+    total
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+        .add(&done);
+    out
+}
+
 /// [`run_mc`] with a control plane: checkpoint resume, a streaming
 /// completion observer, and a campaign-level cancellation token.
 ///
@@ -832,8 +874,11 @@ pub fn run_mc_controlled(cfg: &McConfig, ctl: &McControl<'_>) -> Result<McResult
     .min(cfg.samples);
 
     let mut perf = McPerf::default();
-    let probes_before = crate::perf::sense_calls();
-    let circuit_before = issa_circuit::perf::snapshot();
+    // The shard threads add their work to `shard_work` (`counted`); this
+    // thread's own is read around the whole run.
+    let caller_before = Work::reading();
+    let shard_work = std::sync::Mutex::new(Work::default());
+    let work = &shard_work;
     let offset_start = std::time::Instant::now();
 
     // Restore checkpointed state: completed values merge by index, restored
@@ -892,59 +937,61 @@ pub fn run_mc_controlled(cfg: &McConfig, ctl: &McControl<'_>) -> Result<McResult
             let handles: Vec<_> = (0..threads)
                 .map(|shard| {
                     scope.spawn(move || {
-                        if use_batch {
-                            // Lockstep lanes over this shard's strided
-                            // samples — bit-identical to the scalar loop
-                            // below (see [`crate::batch`]); `None` means
-                            // the config is not batchable, so fall through.
-                            let todo: Vec<usize> = (shard..cfg.samples)
-                                .step_by(threads)
-                                .filter(|&i| !offset_done[i])
-                                .collect();
-                            let mut hooks = ObserverHooks {
-                                cfg,
-                                phase: McPhase::Offset,
-                                observer: ctl.observer,
-                            };
-                            if let Some(runs) =
-                                crate::batch::run_offset_batch(cfg, &todo, ctl.cancel, &mut hooks)
-                            {
-                                return collect_batch_runs(runs);
+                        counted(work, || {
+                            if use_batch {
+                                // Lockstep lanes over this shard's strided
+                                // samples — bit-identical to the scalar loop
+                                // below (see [`crate::batch`]); `None` means
+                                // the config is not batchable, so fall through.
+                                let todo: Vec<usize> = (shard..cfg.samples)
+                                    .step_by(threads)
+                                    .filter(|&i| !offset_done[i])
+                                    .collect();
+                                let mut hooks = ObserverHooks {
+                                    cfg,
+                                    phase: McPhase::Offset,
+                                    observer: ctl.observer,
+                                };
+                                if let Some(runs) = crate::batch::run_offset_batch(
+                                    cfg, &todo, ctl.cancel, &mut hooks,
+                                ) {
+                                    return collect_batch_runs(runs);
+                                }
                             }
-                        }
-                        let mut local = Vec::new();
-                        let mut search = OffsetSearch::default();
-                        let mut i = shard;
-                        while i < cfg.samples {
-                            if offset_done[i] {
-                                i += threads;
-                                continue;
-                            }
-                            if ctl.cancel.is_some_and(CancelToken::is_cancelled) {
-                                break;
-                            }
-                            match run_offset_sample_with(cfg, i, ctl.cancel, &mut search) {
-                                SampleRun::Done(v) => {
-                                    if let Some(obs) = ctl.observer {
-                                        obs.sample_finished(McPhase::Offset, i, Ok(v));
-                                        let lw = crate::tail::tail_log_weight(cfg, i);
-                                        if lw != 0.0 {
-                                            obs.sample_weight(i, lw);
+                            let mut local = Vec::new();
+                            let mut search = OffsetSearch::default();
+                            let mut i = shard;
+                            while i < cfg.samples {
+                                if offset_done[i] {
+                                    i += threads;
+                                    continue;
+                                }
+                                if ctl.cancel.is_some_and(CancelToken::is_cancelled) {
+                                    break;
+                                }
+                                match run_offset_sample_with(cfg, i, ctl.cancel, &mut search) {
+                                    SampleRun::Done(v) => {
+                                        if let Some(obs) = ctl.observer {
+                                            obs.sample_finished(McPhase::Offset, i, Ok(v));
+                                            let lw = crate::tail::tail_log_weight(cfg, i);
+                                            if lw != 0.0 {
+                                                obs.sample_weight(i, lw);
+                                            }
                                         }
+                                        local.push((i, Ok(v)));
                                     }
-                                    local.push((i, Ok(v)));
-                                }
-                                SampleRun::Failed(f) => {
-                                    if let Some(obs) = ctl.observer {
-                                        obs.sample_finished(McPhase::Offset, i, Err(&f));
+                                    SampleRun::Failed(f) => {
+                                        if let Some(obs) = ctl.observer {
+                                            obs.sample_finished(McPhase::Offset, i, Err(&f));
+                                        }
+                                        local.push((i, Err(f)));
                                     }
-                                    local.push((i, Err(f)));
+                                    SampleRun::Cancelled => break,
                                 }
-                                SampleRun::Cancelled => break,
+                                i += threads;
                             }
-                            i += threads;
-                        }
-                        local
+                            local
+                        })
                     })
                 })
                 .collect();
@@ -1043,50 +1090,52 @@ pub fn run_mc_controlled(cfg: &McConfig, ctl: &McControl<'_>) -> Result<McResult
                 let handles: Vec<_> = (0..delay_threads)
                     .map(|shard| {
                         scope.spawn(move || {
-                            if use_batch {
-                                let todo: Vec<usize> = (shard..delay_count)
-                                    .step_by(delay_threads)
-                                    .filter(|&i| !delay_skip[i])
-                                    .collect();
-                                let mut hooks = ObserverHooks {
-                                    cfg,
-                                    phase: McPhase::Delay,
-                                    observer: ctl.observer,
-                                };
-                                if let Some(runs) = crate::batch::run_delay_batch(
-                                    cfg, &todo, swing, ctl.cancel, &mut hooks,
-                                ) {
-                                    return collect_batch_runs(runs);
+                            counted(work, || {
+                                if use_batch {
+                                    let todo: Vec<usize> = (shard..delay_count)
+                                        .step_by(delay_threads)
+                                        .filter(|&i| !delay_skip[i])
+                                        .collect();
+                                    let mut hooks = ObserverHooks {
+                                        cfg,
+                                        phase: McPhase::Delay,
+                                        observer: ctl.observer,
+                                    };
+                                    if let Some(runs) = crate::batch::run_delay_batch(
+                                        cfg, &todo, swing, ctl.cancel, &mut hooks,
+                                    ) {
+                                        return collect_batch_runs(runs);
+                                    }
                                 }
-                            }
-                            let mut local = Vec::new();
-                            let mut i = shard;
-                            while i < delay_count {
-                                if delay_skip[i] {
+                                let mut local = Vec::new();
+                                let mut i = shard;
+                                while i < delay_count {
+                                    if delay_skip[i] {
+                                        i += delay_threads;
+                                        continue;
+                                    }
+                                    if ctl.cancel.is_some_and(CancelToken::is_cancelled) {
+                                        break;
+                                    }
+                                    match run_delay_sample(cfg, i, swing, ctl.cancel) {
+                                        SampleRun::Done(v) => {
+                                            if let Some(obs) = ctl.observer {
+                                                obs.sample_finished(McPhase::Delay, i, Ok(v));
+                                            }
+                                            local.push((i, Ok(v)));
+                                        }
+                                        SampleRun::Failed(f) => {
+                                            if let Some(obs) = ctl.observer {
+                                                obs.sample_finished(McPhase::Delay, i, Err(&f));
+                                            }
+                                            local.push((i, Err(f)));
+                                        }
+                                        SampleRun::Cancelled => break,
+                                    }
                                     i += delay_threads;
-                                    continue;
                                 }
-                                if ctl.cancel.is_some_and(CancelToken::is_cancelled) {
-                                    break;
-                                }
-                                match run_delay_sample(cfg, i, swing, ctl.cancel) {
-                                    SampleRun::Done(v) => {
-                                        if let Some(obs) = ctl.observer {
-                                            obs.sample_finished(McPhase::Delay, i, Ok(v));
-                                        }
-                                        local.push((i, Ok(v)));
-                                    }
-                                    SampleRun::Failed(f) => {
-                                        if let Some(obs) = ctl.observer {
-                                            obs.sample_finished(McPhase::Delay, i, Err(&f));
-                                        }
-                                        local.push((i, Err(f)));
-                                    }
-                                    SampleRun::Cancelled => break,
-                                }
-                                i += delay_threads;
-                            }
-                            local
+                                local
+                            })
                         })
                     })
                     .collect();
@@ -1126,8 +1175,12 @@ pub fn run_mc_controlled(cfg: &McConfig, ctl: &McControl<'_>) -> Result<McResult
     failures.append(&mut restored_delay_failures);
 
     perf.delay_wall_s = delay_start.elapsed().as_secs_f64();
-    perf.probes = crate::perf::sense_calls() - probes_before;
-    perf.circuit = issa_circuit::perf::snapshot().delta_since(&circuit_before);
+    let mut total = shard_work
+        .into_inner()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    total.add(&Work::reading().since(&caller_before));
+    perf.probes = total.probes;
+    perf.circuit = total.circuit;
 
     check_failure_budget(cfg, &mut failures)?;
     let delays: Vec<f64> = delays_by_index.iter().copied().flatten().collect();

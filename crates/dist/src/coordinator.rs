@@ -2,6 +2,10 @@
 //! leased units, merges arriving records, streams them into the campaign
 //! checkpoint, and assembles the final per-corner statistics.
 //!
+//! Corners do not wait for one another: every corner steps through its
+//! own phases, and every phase that is ready is served at once, so a
+//! fleet larger than one phase's units stays busy across corners.
+//!
 //! # Determinism argument
 //!
 //! The coordinator never computes statistics itself. It only *collects*
@@ -27,6 +31,16 @@
 //! sample count a local one does. Outstanding leases for a converged
 //! corner die with the retired phase scheduler.
 //!
+//! # Dispatch
+//!
+//! The served phases are kept in campaign order. A work request takes
+//! the first fresh unit in that order; a speculative duplicate of a
+//! straggler is issued only when no phase has a fresh unit left (see
+//! [`assign_in_order`]). With nothing to hand out, the request is held
+//! on the state's condition variable for at most one
+//! [`ServeOptions::poll`] and answered the moment a unit appears, or
+//! `done` when the campaign ends, or `wait 0` when the hold runs out.
+//!
 //! # Liveness
 //!
 //! Three nested mechanisms keep a wedged fleet from wedging the
@@ -46,7 +60,7 @@
 
 use crate::frame::FrameStream;
 use crate::proto::{campaign_fingerprint, Msg, UnitAssignment, WorkerPerf, PROTO_VERSION};
-use crate::scheduler::{Applied, Decision, PhaseScheduler, SchedStats, SchedulerConfig};
+use crate::scheduler::{assign_in_order, Applied, PhaseScheduler, SchedStats, SchedulerConfig};
 use crate::worker::{run_worker, WorkerOptions, WorkerStats};
 use crate::DistError;
 use issa_circuit::cancel::{CancelCause, CancelToken};
@@ -60,8 +74,8 @@ use issa_core::montecarlo::{
     McControl, McPhase, McResume, SampleFailure,
 };
 use issa_core::tail::{resolve_proposal, tail_log_weight, with_resolved};
-use std::collections::HashMap;
-use std::net::{TcpListener, TcpStream};
+use std::collections::{HashMap, HashSet};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -77,7 +91,8 @@ pub struct ServeOptions {
     /// worst-case single-sample compute time.
     pub worker_timeout: Duration,
     /// Main-loop wake interval: bounds checkpoint lag and lease-expiry
-    /// detection latency.
+    /// detection latency. Also the longest a work request is held when
+    /// no unit is assignable.
     pub poll: Duration,
     /// Campaign checkpoint file — same semantics as
     /// [`CampaignOptions::checkpoint`]: load-and-verify on start, stream
@@ -90,9 +105,9 @@ pub struct ServeOptions {
     /// In-process workers to spawn, each connected to the listener over
     /// real TCP — full protocol coverage without separate processes.
     pub loopback: Vec<WorkerOptions>,
-    /// Test hook: stop serving (checkpoint flushed, report partial)
-    /// after this many units have completed — the distributed analogue
-    /// of [`CampaignOptions::abort_after`].
+    /// Test hook: stop serving after this many units have completed —
+    /// checkpoint flushed, every corner not yet merged reported partial;
+    /// the distributed analogue of [`CampaignOptions::abort_after`].
     pub abort_after_units: Option<u64>,
     /// Retry policy for checkpoint flushes (same semantics as
     /// [`CampaignOptions::save_policy`], including injected I/O faults).
@@ -159,8 +174,8 @@ pub struct WorkerSummary {
     pub units: u64,
     /// Per-sample records merged from this worker.
     pub samples: u64,
-    /// Aggregated hot-path counters (see [`WorkerPerf`] for the
-    /// loopback-mode attribution caveat).
+    /// Aggregated hot-path counters of the units merged from this
+    /// worker (thread-scoped, so exact in loopback mode too).
     pub perf: WorkerPerf,
 }
 
@@ -212,8 +227,10 @@ impl WorkerHealth {
     }
 }
 
-/// The phase currently being served, shared with connection handlers.
+/// One phase being served, shared with connection handlers.
 struct ActivePhase {
+    /// The corner's position in the campaign — the dispatch order.
+    corner_idx: usize,
     corner: String,
     phase: McPhase,
     swing_bits: u64,
@@ -222,10 +239,10 @@ struct ActivePhase {
     scheduler: PhaseScheduler,
     /// Indices still wanted in this phase; records outside it (late
     /// duplicates, indices whose offset failed) are discarded on merge.
-    wanted: std::collections::HashSet<usize>,
+    wanted: HashSet<usize>,
     /// Fresh records accepted from workers, drained by the main loop.
     collected: McResume,
-    /// Units completed this phase (for the abort test hook).
+    /// Units completed since the last drain (for the abort test hook).
     units_completed: u64,
 }
 
@@ -233,11 +250,55 @@ struct ServeState {
     finished: bool,
     next_worker_id: u64,
     workers: HashMap<u64, WorkerInfo>,
-    phase: Option<ActivePhase>,
+    /// Every phase being served, in campaign order — at most one per
+    /// corner. A request takes the first fresh unit in this order.
+    phases: Vec<ActivePhase>,
+    /// Set when a result merges or a worker is lost. The main loop waits
+    /// only while it is clear, so no wake-up is lost between its passes.
+    changed: bool,
+    /// Results for units no served phase owns (late copies of a retired
+    /// phase's units), acknowledged and discarded.
+    stale_results: u64,
+    /// Live connection handlers; the shutdown linger waits for zero.
+    conns: usize,
     /// Flakiness scores by worker name (see [`WorkerHealth`]).
     health: HashMap<String, WorkerHealth>,
     /// Names rejected as flaky, once each, in rejection order.
     flaky_rejected: Vec<String>,
+}
+
+impl ServeState {
+    fn new() -> Self {
+        ServeState {
+            finished: false,
+            next_worker_id: 1,
+            workers: HashMap::new(),
+            phases: Vec::new(),
+            changed: false,
+            stale_results: 0,
+            conns: 0,
+            health: HashMap::new(),
+            flaky_rejected: Vec::new(),
+        }
+    }
+
+    /// Leases work to `worker` from the served phases, in the order of
+    /// [`assign_in_order`].
+    fn assign(&mut self, worker: u64, now: Instant) -> Option<UnitAssignment> {
+        let mut schedulers: Vec<&mut PhaseScheduler> =
+            self.phases.iter_mut().map(|p| &mut p.scheduler).collect();
+        let (k, unit_id, start, end) = assign_in_order(&mut schedulers, worker, now)?;
+        let phase = &self.phases[k];
+        Some(UnitAssignment {
+            unit_id,
+            corner: phase.corner.clone(),
+            phase: phase.phase,
+            swing_bits: phase.swing_bits,
+            start,
+            end,
+            tail_bits: phase.tail_bits.clone(),
+        })
+    }
 }
 
 struct Shared {
@@ -248,9 +309,6 @@ struct Shared {
     poll: Duration,
     flaky_threshold: f64,
     flaky_halflife: Duration,
-    /// Live connection handlers; the shutdown path waits (bounded) for
-    /// this to drain so every connected worker receives its `done`.
-    conns: std::sync::atomic::AtomicUsize,
 }
 
 fn lock(shared: &Shared) -> MutexGuard<'_, ServeState> {
@@ -326,67 +384,71 @@ impl Shared {
             }),
             Msg::Ping { .. } => Some(Msg::Ok),
             Msg::Request { worker_id } => {
-                if s.finished {
-                    return Some(Msg::Done);
-                }
-                let poll_ms = self.poll.as_millis().max(10) as u64;
-                let Some(phase) = s.phase.as_mut() else {
-                    // Between phases (or corners): work may still appear.
-                    return Some(Msg::Wait { millis: poll_ms });
-                };
-                match phase.scheduler.next_assignment(worker_id, now) {
-                    Decision::Assign(unit_id, start, end) => Some(Msg::Assign(UnitAssignment {
-                        unit_id,
-                        corner: phase.corner.clone(),
-                        phase: phase.phase,
-                        swing_bits: phase.swing_bits,
-                        start,
-                        end,
-                        tail_bits: phase.tail_bits.clone(),
-                    })),
-                    Decision::Wait(d) => Some(Msg::Wait {
-                        millis: (d.as_millis() as u64).clamp(10, 1_000),
-                    }),
-                    // The main loop is about to retire this phase; the
-                    // campaign is only over when `finished` says so.
-                    Decision::Complete => Some(Msg::Wait { millis: poll_ms }),
+                // Long poll: hold the request until a unit appears or the
+                // campaign ends, for at most one poll interval; then
+                // `wait 0`, and the worker asks again at once.
+                let deadline = now + self.poll;
+                loop {
+                    if s.finished {
+                        return Some(Msg::Done);
+                    }
+                    let now = Instant::now();
+                    if let Some(assignment) = s.assign(worker_id, now) {
+                        return Some(Msg::Assign(assignment));
+                    }
+                    let left = deadline.saturating_duration_since(now);
+                    if left.is_zero() {
+                        return Some(Msg::Wait { millis: 0 });
+                    }
+                    s = self
+                        .cv
+                        .wait_timeout(s, left)
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0;
                 }
             }
             Msg::Result(r) => {
                 let unit_id = r.unit_id;
-                if let Some(phase) = s.phase.as_mut() {
-                    if phase.scheduler.apply_result(unit_id) == Applied::Fresh {
-                        let mut merged_samples: u64 = 0;
-                        for (i, v) in r.offsets {
-                            if phase.phase == McPhase::Offset && phase.wanted.remove(&i) {
-                                phase.collected.offsets.push((i, v));
-                                merged_samples += 1;
+                // Split borrows: the phase and the worker rows are fields
+                // of one state.
+                let st = &mut *s;
+                match st.phases.iter_mut().find(|p| p.scheduler.owns(unit_id)) {
+                    Some(phase) => {
+                        if phase.scheduler.apply_result(unit_id) == Applied::Fresh {
+                            let mut merged_samples: u64 = 0;
+                            for (i, v) in r.offsets {
+                                if phase.phase == McPhase::Offset && phase.wanted.remove(&i) {
+                                    phase.collected.offsets.push((i, v));
+                                    merged_samples += 1;
+                                }
                             }
-                        }
-                        for (i, v) in r.delays {
-                            if phase.phase == McPhase::Delay && phase.wanted.remove(&i) {
-                                phase.collected.delays.push((i, v));
-                                merged_samples += 1;
+                            for (i, v) in r.delays {
+                                if phase.phase == McPhase::Delay && phase.wanted.remove(&i) {
+                                    phase.collected.delays.push((i, v));
+                                    merged_samples += 1;
+                                }
                             }
-                        }
-                        for f in r.failures {
-                            if f.phase == phase.phase && phase.wanted.remove(&f.index) {
-                                phase.collected.failures.push(f);
-                                merged_samples += 1;
+                            for f in r.failures {
+                                if f.phase == phase.phase && phase.wanted.remove(&f.index) {
+                                    phase.collected.failures.push(f);
+                                    merged_samples += 1;
+                                }
                             }
+                            phase.units_completed += 1;
+                            if let Some(w) = st.workers.get_mut(&r.worker_id) {
+                                w.units += 1;
+                                w.samples += merged_samples;
+                                w.perf = w.perf.saturating_add(&r.perf);
+                            }
+                            st.changed = true;
+                            self.cv.notify_all();
                         }
-                        phase.units_completed += 1;
-                        if let Some(w) = s.workers.get_mut(&r.worker_id) {
-                            w.units += 1;
-                            w.samples += merged_samples;
-                            w.perf = w.perf.saturating_add(&r.perf);
-                        }
-                        self.cv.notify_all();
                     }
+                    // A late copy of a retired phase's unit: its records
+                    // are already covered, bit-identically, by whoever
+                    // finished first — acknowledged all the same.
+                    None => st.stale_results += 1,
                 }
-                // Stale results (no active phase / unknown unit) are
-                // acknowledged too: the sender's work is simply already
-                // covered, bit-identically, by whoever finished first.
                 Some(Msg::Ack { unit_id })
             }
             Msg::Welcome { .. }
@@ -404,9 +466,10 @@ impl Shared {
     fn worker_lost(&self, worker_id: u64) {
         let now = Instant::now();
         let mut s = lock(self);
-        if let Some(phase) = s.phase.as_mut() {
+        for phase in &mut s.phases {
             phase.scheduler.worker_dead(worker_id, now);
         }
+        s.changed = true;
         self.cv.notify_all();
     }
 }
@@ -419,8 +482,8 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
     {
         return;
     }
-    shared.conns.fetch_add(1, Ordering::SeqCst);
-    let _open = Decrement(&shared.conns);
+    lock(shared).conns += 1;
+    let _open = OpenConnection(shared);
     let mut frames = FrameStream::new(stream);
     let mut conn_worker: Option<u64> = None;
     while let Ok(payload) = frames.recv() {
@@ -450,13 +513,25 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
     }
 }
 
-/// Drops decrement the wrapped counter — pairs every `handle_connection`
-/// entry with an exit, panics included.
-struct Decrement<'a>(&'a std::sync::atomic::AtomicUsize);
+/// Pairs every `handle_connection` entry with an exit, panics included,
+/// and wakes the shutdown linger as the connection count drops.
+struct OpenConnection<'a>(&'a Shared);
 
-impl Drop for Decrement<'_> {
+impl Drop for OpenConnection<'_> {
     fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::SeqCst);
+        let mut s = lock(self.0);
+        s.conns = s.conns.saturating_sub(1);
+        self.0.cv.notify_all();
+    }
+}
+
+/// An address that reaches `local` from this host: the loopback address
+/// of the same family when the listener is bound to the wildcard.
+fn wake_addr(local: SocketAddr) -> SocketAddr {
+    match local.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => (Ipv4Addr::LOCALHOST, local.port()).into(),
+        IpAddr::V6(ip) if ip.is_unspecified() => (Ipv6Addr::LOCALHOST, local.port()).into(),
+        _ => local,
     }
 }
 
@@ -509,43 +584,36 @@ pub fn serve_campaign(
     }
 
     let shared = Arc::new(Shared {
-        state: Mutex::new(ServeState {
-            finished: false,
-            next_worker_id: 1,
-            workers: HashMap::new(),
-            phase: None,
-            health: HashMap::new(),
-            flaky_rejected: Vec::new(),
-        }),
+        state: Mutex::new(ServeState::new()),
         cv: Condvar::new(),
         campaign_fp: campaign_fingerprint(corners),
         worker_timeout: opts.worker_timeout,
         poll: opts.poll,
         flaky_threshold: opts.flaky_threshold,
         flaky_halflife: opts.flaky_halflife,
-        conns: std::sync::atomic::AtomicUsize::new(0),
     });
 
-    // Acceptor: nonblocking poll loop so shutdown is prompt and portable.
-    listener.set_nonblocking(true)?;
+    // Acceptor: blocks in `accept`; shutdown wakes it with a connection
+    // of its own.
+    listener.set_nonblocking(false)?;
     let local_addr = listener.local_addr()?;
     let shutdown = Arc::new(AtomicBool::new(false));
     let acceptor = {
         let shared = Arc::clone(&shared);
         let shutdown = Arc::clone(&shutdown);
         std::thread::spawn(move || {
-            while !shutdown.load(Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        let _ = stream.set_nonblocking(false);
+            for stream in listener.incoming() {
+                if shutdown.load(Ordering::SeqCst) {
+                    break;
+                }
+                match stream {
+                    Ok(stream) => {
                         let shared = Arc::clone(&shared);
                         // Handlers are detached: they exit on their read
                         // deadline or when their worker disconnects.
                         std::thread::spawn(move || handle_connection(stream, &shared));
                     }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(10));
-                    }
+                    // Out of descriptors or the like: back off, not spin.
                     Err(_) => std::thread::sleep(Duration::from_millis(10)),
                 }
             }
@@ -567,7 +635,7 @@ pub fn serve_campaign(
         .checkpoint
         .clone()
         .map(|p| CheckpointWriter::new(p, opts.save_policy.clone(), opts.max_save_failures));
-    let run = drive_campaign(
+    let (mut campaign, mut sched) = drive_campaign(
         corners,
         opts,
         &shared,
@@ -577,11 +645,7 @@ pub fn serve_campaign(
     );
 
     // Shut everything down before reporting: workers drain on `done`.
-    {
-        let mut s = lock(&shared);
-        s.finished = true;
-        s.phase = None;
-    }
+    lock(&shared).finished = true;
     shared.cv.notify_all();
     for handle in loopback {
         match handle.join() {
@@ -600,20 +664,34 @@ pub fn serve_campaign(
     }
     // Linger until every connected (remote) worker has re-requested and
     // received its `done` — connections close as soon as their `done` is
-    // delivered, so this loop exits immediately when none are
-    // outstanding and the configurable deadline only caps workers that
-    // vanished without disconnecting.
+    // delivered and each close wakes this wait, so it ends the moment
+    // none are outstanding; the deadline only caps workers that vanished
+    // without disconnecting.
     let drain_deadline = Instant::now() + opts.drain_deadline;
-    while shared.conns.load(Ordering::SeqCst) > 0 && Instant::now() < drain_deadline {
-        std::thread::sleep(Duration::from_millis(20));
+    let mut s = lock(&shared);
+    while s.conns > 0 {
+        let left = drain_deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            break;
+        }
+        s = shared
+            .cv
+            .wait_timeout(s, left)
+            .unwrap_or_else(PoisonError::into_inner)
+            .0;
     }
+    drop(s);
     shutdown.store(true, Ordering::SeqCst);
-    let _ = acceptor.join();
+    // If even a loopback connect fails, the blocked acceptor is left to
+    // end with the process rather than hang the return.
+    if TcpStream::connect_timeout(&wake_addr(local_addr), Duration::from_secs(1)).is_ok() {
+        let _ = acceptor.join();
+    }
 
-    let (mut campaign, sched) = run;
     campaign.checkpoint_degraded = writer.as_ref().and_then(|w| w.degraded().map(String::from));
     let (mut workers, flaky_rejected) = {
         let s = lock(&shared);
+        sched.duplicates = sched.duplicates.saturating_add(s.stale_results);
         let workers: Vec<WorkerSummary> = s
             .workers
             .iter()
@@ -645,9 +723,11 @@ fn log_worker_exit(opts: &ServeOptions, stats: &WorkerStats) {
     }
 }
 
-/// The main scheduling loop: corners in order, two phases per corner,
-/// records merged and checkpointed as they arrive, final statistics
-/// assembled by [`run_mc_controlled`] from the merged resume.
+/// The main loop, on the coordinator thread: every corner steps through
+/// its phases on its own ([`CornerRun`]), all of their ready phases are
+/// served at once, records are merged and checkpointed as they arrive,
+/// and each corner's final statistics are assembled by
+/// [`run_mc_controlled`] from its merged resume as soon as it is done.
 fn drive_campaign(
     corners: &[CampaignCorner],
     opts: &ServeOptions,
@@ -656,165 +736,83 @@ fn drive_campaign(
     resumed_records: usize,
     writer: &mut Option<CheckpointWriter>,
 ) -> (CampaignReport, SchedStats) {
-    let mut reports: Vec<CornerReport> = Vec::with_capacity(corners.len());
+    let mut runs: Vec<CornerRun> = corners
+        .iter()
+        .map(|corner| CornerRun::new(corner, restored, opts.progress))
+        .collect();
     let mut sched_total = SchedStats::default();
-    let mut done_corners: Vec<CornerCheckpoint> = Vec::new();
     let mut units_budget = opts.abort_after_units;
-    let mut aborted = false;
-
-    for corner in corners {
-        if aborted {
-            reports.push(CornerReport {
-                name: corner.name.clone(),
-                outcome: CornerOutcome::Skipped,
-            });
-            continue;
-        }
-        let cfg = &corner.cfg;
-        let mut current = CornerCheckpoint {
-            name: corner.name.clone(),
-            fingerprint: config_fingerprint(&corner.name, cfg),
-            resume: restored
-                .corner(&corner.name)
-                .map(|c| c.resume.clone())
-                .unwrap_or_default(),
-        };
-        if opts.progress {
-            eprintln!(
-                "serve: corner {:?} ({} samples, {} restored)",
-                corner.name,
-                cfg.samples,
-                current.resume.records()
-            );
-        }
-
-        let (merge_cfg, tail_rounds): (McConfig, u32) = if cfg.tail.is_some() {
-            serve_tail_corner(
-                corner,
-                opts,
-                shared,
-                &mut current,
-                &done_corners,
-                &mut sched_total,
-                &mut units_budget,
-                writer,
-            )
-        } else {
-            // ---- Phase 1: offsets ---------------------------------------
-            let pending = pending_offsets(&current.resume, 0, cfg.samples);
-            let phase_aborted = serve_phase(
-                corner,
-                McPhase::Offset,
-                0,
-                &[],
-                &pending,
-                opts,
-                shared,
-                &mut current,
-                &done_corners,
-                &mut sched_total,
-                &mut units_budget,
-                writer,
-                None,
-            );
-
-            // ---- Phase 2: delays ----------------------------------------
-            let delay_count = cfg.delay_samples.min(cfg.samples);
-            if delay_count > 0 && !phase_aborted {
-                // The corner-wide swing, from the merged, index-ordered
-                // offset distribution — exactly what the in-process engine
-                // derives between its phases.
-                let mut offsets_by_index: Vec<Option<f64>> = vec![None; cfg.samples];
-                for &(i, v) in &current.resume.offsets {
-                    if i < cfg.samples {
-                        offsets_by_index[i] = Some(v);
-                    }
-                }
-                let offsets: Vec<f64> = offsets_by_index.iter().copied().flatten().collect();
-                if !offsets.is_empty() {
-                    let spec = offset_spec_from_samples(cfg, &offsets);
-                    let swing = delay_swing_volts(cfg, spec);
-                    let pending = pending_delays(&current.resume, delay_count);
-                    serve_phase(
-                        corner,
-                        McPhase::Delay,
-                        swing.to_bits(),
-                        &[],
-                        &pending,
-                        opts,
-                        shared,
-                        &mut current,
-                        &done_corners,
-                        &mut sched_total,
-                        &mut units_budget,
-                        writer,
-                        None,
-                    );
-                }
-            }
-            (cfg.clone(), 0)
-        };
-
-        aborted =
-            units_budget.is_some_and(|n| n == 0) || (opts.handle_signals && interrupt::requested());
-
-        // ---- Merge: the statistics a single-process run would build -----
-        let token = CancelToken::new();
-        if aborted {
-            // Mirror a local campaign interrupted mid-corner: the merge
-            // keeps completed work and reports the corner partial.
-            token.cancel(CancelCause::Interrupt);
-        }
-        let ctl = McControl {
-            resume: Some(&current.resume),
-            observer: None,
-            cancel: Some(&token),
-        };
-        let outcome = match run_mc_controlled(&merge_cfg, &ctl) {
-            Ok(mut result) => {
-                if let Some(t) = result.tail.as_mut() {
-                    t.rounds = tail_rounds;
-                }
-                CornerOutcome::Completed(Box::new(result))
-            }
-            Err(e) => CornerOutcome::Failed(e),
-        };
-        if opts.progress {
-            match &outcome {
-                CornerOutcome::Completed(r) if r.partial => eprintln!(
-                    "serve: corner {:?} PARTIAL ({}/{} offsets)",
-                    corner.name,
-                    r.offsets.len(),
-                    r.requested
-                ),
-                CornerOutcome::Completed(_) => eprintln!("serve: corner {:?} done", corner.name),
-                CornerOutcome::Failed(e) => {
-                    eprintln!("serve: corner {:?} FAILED: {e}", corner.name);
-                }
-                CornerOutcome::Skipped => {}
+    let stop_requested =
+        |budget: Option<u64>| budget == Some(0) || (opts.handle_signals && interrupt::requested());
+    let mut aborted = stop_requested(units_budget);
+    // Corners whose phase just finished — at the start, every corner.
+    let mut ready: Vec<usize> = (0..runs.len()).collect();
+    let mut fresh_since_flush = 0usize;
+    while !aborted {
+        let boundary = !ready.is_empty();
+        for k in ready.drain(..) {
+            let run = &mut runs[k];
+            match run.advance(opts.progress) {
+                Some(spec) => install(shared, opts, k, run.corner, spec),
+                None => run.finish(false, opts.progress),
             }
         }
-        if current.resume.records() > 0 {
-            done_corners.push(current);
+        // Phase boundaries always flush, so a killed coordinator restarts
+        // from at worst one poll interval of lost records.
+        if fresh_since_flush > 0
+            && (boundary || (opts.flush_every > 0 && fresh_since_flush >= opts.flush_every))
+        {
+            fresh_since_flush = 0;
+            flush_checkpoint(writer, &runs);
         }
-        flush_checkpoint(writer, &done_corners, None);
-        reports.push(CornerReport {
-            name: corner.name.clone(),
-            outcome,
-        });
+        if runs.iter().all(|r| r.outcome.is_some()) {
+            break;
+        }
+
+        let pass = serve_pass(shared, opts, corners);
+        sched_total.stats_merge(&pass.retired_stats);
+        for (k, records) in pass.records {
+            fresh_since_flush += records.records();
+            runs[k].absorb(records);
+        }
+        if let Some(budget) = units_budget.as_mut() {
+            *budget = budget.saturating_sub(pass.units);
+        }
+        // The abort hook and SIGINT/SIGTERM take the same graceful path:
+        // stop scheduling, flush below, report in-flight corners partial.
+        aborted = stop_requested(units_budget);
+        ready = pass.finished;
+    }
+
+    if aborted {
+        let mut s = lock(shared);
+        for phase in s.phases.drain(..) {
+            sched_total.stats_merge(&phase.scheduler.stats);
+        }
+        drop(s);
+        for run in runs.iter_mut().filter(|r| r.outcome.is_none()) {
+            run.finish(true, opts.progress);
+        }
     }
 
     let cancelled = aborted.then_some(CancelCause::Interrupt);
     let partial = cancelled.is_some()
-        || reports.iter().any(|r| match &r.outcome {
-            CornerOutcome::Completed(res) => res.partial,
-            CornerOutcome::Failed(_) | CornerOutcome::Skipped => true,
+        || runs.iter().any(|r| match &r.outcome {
+            Some(CornerOutcome::Completed(res)) => res.partial,
+            _ => true,
         });
-    if !partial {
-        if let Some(path) = &opts.checkpoint {
-            let _ = std::fs::remove_file(path);
-        }
+    if partial {
+        flush_checkpoint(writer, &runs);
+    } else if let Some(path) = &opts.checkpoint {
+        let _ = std::fs::remove_file(path);
     }
+    let reports: Vec<CornerReport> = runs
+        .into_iter()
+        .map(|run| CornerReport {
+            name: run.corner.name.clone(),
+            outcome: run.outcome.unwrap_or(CornerOutcome::Skipped),
+        })
+        .collect();
     (
         CampaignReport {
             corners: reports,
@@ -826,6 +824,480 @@ fn drive_campaign(
         },
         sched_total,
     )
+}
+
+/// What one pass of the main loop collected from the served phases.
+#[derive(Default)]
+struct Pass {
+    /// Fresh records by corner position.
+    records: Vec<(usize, McResume)>,
+    /// Corners whose phase completed (and was retired) this pass.
+    finished: Vec<usize>,
+    /// Units completed this pass (for the abort test hook).
+    units: u64,
+    /// Scheduler counters of the phases retired this pass.
+    retired_stats: SchedStats,
+}
+
+/// One pass of the main loop: waits (unless something already changed)
+/// up to one poll interval, then ticks every served phase's leases,
+/// scores revocations, quarantines exhausted units, drains fresh
+/// records, and retires completed phases.
+fn serve_pass(shared: &Shared, opts: &ServeOptions, corners: &[CampaignCorner]) -> Pass {
+    let mut s = lock(shared);
+    if !s.changed {
+        s = shared
+            .cv
+            .wait_timeout(s, opts.poll)
+            .unwrap_or_else(PoisonError::into_inner)
+            .0;
+    }
+    s.changed = false;
+    let now = Instant::now();
+    // Split borrows: the schedulers live in `phases`, the flakiness
+    // records in `health`/`workers` — all fields of one state.
+    let st = &mut *s;
+    let mut pass = Pass::default();
+    for active in &mut st.phases {
+        active.scheduler.tick(now);
+
+        // Flakiness: every revocation (lease expiry or worker death)
+        // charges the worker's *name*, so a crash-looping host keeps its
+        // record across reconnects and is eventually refused at the
+        // handshake instead of burning unit retry budgets.
+        for wid in active.scheduler.drain_revoked() {
+            let Some(name) = st.workers.get(&wid).map(|w| w.name.clone()) else {
+                continue;
+            };
+            let health = st.health.entry(name).or_insert(WorkerHealth {
+                score: 0.0,
+                revocations: 0,
+                updated: now,
+            });
+            health.decay_to(now, shared.flaky_halflife);
+            health.score += 1.0;
+            health.revocations += 1;
+        }
+
+        // Quarantine: exhausted units become ordinary TimedOut failures,
+        // one per still-missing index, and flow through the same budget
+        // machinery as any other quarantined sample.
+        let cfg = &corners[active.corner_idx].cfg;
+        for (unit_id, start, end, attempts) in active.scheduler.drain_quarantined() {
+            for index in start..end {
+                if !active.wanted.remove(&index) {
+                    continue;
+                }
+                active.collected.failures.push(SampleFailure {
+                    index,
+                    seed: cfg.seed,
+                    corner: cfg.corner_label(),
+                    phase: active.phase,
+                    kind: FailureKind::TimedOut,
+                    error: format!(
+                        "distributed unit {unit_id} quarantined after {attempts} lease \
+                         attempts (worker loss or lease timeout)"
+                    ),
+                    recovery_attempts: 0,
+                });
+            }
+        }
+
+        let records = std::mem::take(&mut active.collected);
+        if records.records() > 0 {
+            pass.records.push((active.corner_idx, records));
+        }
+        pass.units += std::mem::take(&mut active.units_completed);
+        if active.scheduler.is_complete() {
+            pass.finished.push(active.corner_idx);
+            pass.retired_stats.stats_merge(&active.scheduler.stats);
+        }
+    }
+    st.phases.retain(|p| !p.scheduler.is_complete());
+    pass
+}
+
+/// Installs a corner's next phase among the served ones, in campaign
+/// order, and wakes held requests.
+fn install(
+    shared: &Shared,
+    opts: &ServeOptions,
+    corner_idx: usize,
+    corner: &CampaignCorner,
+    spec: PhaseSpec,
+) {
+    let ranges = PhaseScheduler::ranges_of(&spec.pending, opts.scheduler.unit_samples);
+    // Unit ids are globally unique, so a result routes to its phase by id
+    // alone and a stale one from a retired phase is never taken for fresh.
+    static NEXT_UNIT_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
+    let base_id = NEXT_UNIT_ID.fetch_add(ranges.len() as u64, Ordering::Relaxed);
+    if opts.progress {
+        eprintln!(
+            "serve: corner {:?} {} phase: {} samples in {} units",
+            corner.name,
+            spec.phase,
+            spec.pending.len(),
+            ranges.len()
+        );
+    }
+    let phase = ActivePhase {
+        corner_idx,
+        corner: corner.name.clone(),
+        phase: spec.phase,
+        swing_bits: spec.swing_bits,
+        tail_bits: spec.tail_bits,
+        scheduler: PhaseScheduler::new(&ranges, base_id, &opts.scheduler),
+        wanted: spec.pending.into_iter().collect(),
+        collected: McResume::default(),
+        units_completed: 0,
+    };
+    let mut s = lock(shared);
+    let at = s.phases.partition_point(|p| p.corner_idx < corner_idx);
+    s.phases.insert(at, phase);
+    drop(s);
+    shared.cv.notify_all();
+}
+
+/// A corner's next phase: its pending sample indices and what every
+/// assignment of it carries.
+struct PhaseSpec {
+    phase: McPhase,
+    swing_bits: u64,
+    tail_bits: Vec<u64>,
+    pending: Vec<usize>,
+}
+
+/// Where a corner stands; each variant but `Start` names the phase being
+/// served (or just finished).
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    Start,
+    /// Classic offsets, or the shifted offsets of a corner whose tail
+    /// proposal is already resolved.
+    Offsets,
+    /// Tail pilot: indices `[0, samples)` drawn nominally.
+    Pilot,
+    /// Tail round: indices `[0, n)` under the resolved proposal.
+    Round {
+        n: usize,
+    },
+    Delays,
+}
+
+/// One corner's progress through its phases, driven by the main loop.
+///
+/// Classic corners go offsets → delays → merged. Tail corners go pilot →
+/// round 1, 2, … → delays → merged: the proposal is resolved from the
+/// merged pilot offsets (a pure function of them, so every restart
+/// resolves the identical shift), and after each round the stopping rule
+/// is evaluated by a zero-solve re-assembly of the merged records under
+/// the round's effective config — the same statistics the local engine
+/// checks at the same block boundary — so a distributed tail run
+/// converges on exactly the sample set (and the bit-identical result) of
+/// a local [`issa_core::tail::run_tail_mc`] run. A corner whose proposal
+/// is already resolved mirrors the local fallthrough: one shifted offset
+/// phase over `[0, samples)`, then delays.
+struct CornerRun<'a> {
+    corner: &'a CampaignCorner,
+    /// Every record merged so far (restored ones included): the corner's
+    /// checkpoint entry, and the resume its final merge restores.
+    ckpt: CornerCheckpoint,
+    step: Step,
+    /// Set while an offset phase draws shifted samples: each merged
+    /// offset record is annotated with its exact importance log-weight
+    /// under this config — a pure seed-tree replay, no solves.
+    weight_cfg: Option<McConfig>,
+    /// The resolved proposal's per-device shifts (positive side, then
+    /// negative), shipped as exact `f64` bits on shifted assignments.
+    tail_bits: Vec<u64>,
+    /// The config tail rounds draw under once the proposal is resolved.
+    resolved: McConfig,
+    /// The configuration the final merge restores under.
+    merge_cfg: McConfig,
+    /// Adaptive tail rounds issued, for the result's tail summary.
+    rounds: u32,
+    /// Set once the corner is merged.
+    outcome: Option<CornerOutcome>,
+}
+
+impl<'a> CornerRun<'a> {
+    fn new(corner: &'a CampaignCorner, restored: &Checkpoint, progress: bool) -> Self {
+        let cfg = &corner.cfg;
+        let ckpt = CornerCheckpoint {
+            name: corner.name.clone(),
+            fingerprint: config_fingerprint(&corner.name, cfg),
+            resume: restored
+                .corner(&corner.name)
+                .map(|c| c.resume.clone())
+                .unwrap_or_default(),
+        };
+        if progress {
+            eprintln!(
+                "serve: corner {:?} ({} samples, {} restored)",
+                corner.name,
+                cfg.samples,
+                ckpt.resume.records()
+            );
+        }
+        CornerRun {
+            corner,
+            ckpt,
+            step: Step::Start,
+            weight_cfg: None,
+            tail_bits: Vec::new(),
+            resolved: cfg.clone(),
+            merge_cfg: cfg.clone(),
+            rounds: 0,
+            outcome: None,
+        }
+    }
+
+    /// Moves the corner past its finished phase (or off the start) to the
+    /// next phase with work pending; `None` once it is ready to merge.
+    fn advance(&mut self, progress: bool) -> Option<PhaseSpec> {
+        let corner = self.corner;
+        let cfg = &corner.cfg;
+        loop {
+            let next = match self.step {
+                Step::Start => match cfg.tail.as_ref().map(|t| t.resolved.as_ref()) {
+                    None => {
+                        self.step = Step::Offsets;
+                        self.offsets(cfg.samples, None)
+                    }
+                    Some(Some(p)) => {
+                        self.tail_bits = shift_bits(&p.shift, &p.neg);
+                        self.step = Step::Offsets;
+                        self.offsets(cfg.samples, Some(cfg.clone()))
+                    }
+                    Some(None) => {
+                        self.step = Step::Pilot;
+                        self.offsets(cfg.samples, None)
+                    }
+                },
+                Step::Offsets if cfg.tail.is_some() => self.tail_delays(cfg),
+                Step::Offsets => self.classic_delays(),
+                Step::Pilot => {
+                    // `resolve_proposal` filters to pilot indices, sorts,
+                    // and dedups internally, so the raw indexed resume
+                    // records feed it directly.
+                    let proposal = resolve_proposal(cfg, &self.ckpt.resume.offsets);
+                    if progress {
+                        eprintln!(
+                            "serve: corner {:?} tail proposal |shift| {:.3} (pilot {})",
+                            corner.name,
+                            proposal.magnitude(),
+                            proposal.pilot
+                        );
+                    }
+                    self.tail_bits = shift_bits(&proposal.shift, &proposal.neg);
+                    self.resolved = with_resolved(cfg, &proposal.shift, &proposal.neg);
+                    self.next_round(cfg.samples)
+                }
+                Step::Round { n } => {
+                    let ctl = resume_control(&self.ckpt.resume, None);
+                    match run_mc_controlled(&self.round_cfg(n), &ctl) {
+                        Ok(r) if !r.partial && !r.tail.as_ref().is_some_and(|t| t.converged) => {
+                            self.next_round(n)
+                        }
+                        // Converged, or partial. A failure-budget
+                        // overrun reproduces at the final merge under the
+                        // same sample count, where it becomes the corner's
+                        // Failed outcome — exactly when the local engine
+                        // would error.
+                        _ => self.finish_rounds(n),
+                    }
+                }
+                Step::Delays => return None,
+            };
+            if let Some(spec) = next.filter(|s| !s.pending.is_empty()) {
+                return Some(spec);
+            }
+        }
+    }
+
+    /// The offset phase over the pending indices of `[0, end)`, shifted
+    /// (and weighted under `weight_cfg`) when that is set.
+    fn offsets(&mut self, end: usize, weight_cfg: Option<McConfig>) -> Option<PhaseSpec> {
+        let tail_bits = if weight_cfg.is_some() {
+            self.tail_bits.clone()
+        } else {
+            Vec::new()
+        };
+        self.weight_cfg = weight_cfg;
+        Some(PhaseSpec {
+            phase: McPhase::Offset,
+            swing_bits: 0,
+            tail_bits,
+            pending: pending_offsets(&self.ckpt.resume, 0, end),
+        })
+    }
+
+    /// The delay phase at `swing` volts over `pending`.
+    fn delays(&mut self, swing: f64, pending: Vec<usize>) -> Option<PhaseSpec> {
+        self.step = Step::Delays;
+        self.weight_cfg = None;
+        Some(PhaseSpec {
+            phase: McPhase::Delay,
+            swing_bits: swing.to_bits(),
+            tail_bits: Vec::new(),
+            pending,
+        })
+    }
+
+    /// A classic corner's delay phase. The corner-wide swing comes from
+    /// the merged, index-ordered offset distribution — exactly what the
+    /// in-process engine derives between its phases.
+    fn classic_delays(&mut self) -> Option<PhaseSpec> {
+        self.step = Step::Delays;
+        let cfg = &self.corner.cfg;
+        let pending = pending_delays(&self.ckpt.resume, cfg.delay_samples.min(cfg.samples));
+        if pending.is_empty() {
+            return None;
+        }
+        let mut offsets_by_index: Vec<Option<f64>> = vec![None; cfg.samples];
+        for &(i, v) in &self.ckpt.resume.offsets {
+            if i < cfg.samples {
+                offsets_by_index[i] = Some(v);
+            }
+        }
+        let offsets: Vec<f64> = offsets_by_index.iter().copied().flatten().collect();
+        let spec = offset_spec_from_samples(cfg, &offsets);
+        self.delays(delay_swing_volts(cfg, spec), pending)
+    }
+
+    /// A tail corner's delay phase. The swing derives from the *weighted*
+    /// directly-estimated spec — a zero-solve re-assembly of the merged
+    /// offsets under the effective config — because that is the spec the
+    /// local engine's delay phase provisions for in tail mode.
+    fn tail_delays(&mut self, cfg_eff: &McConfig) -> Option<PhaseSpec> {
+        self.step = Step::Delays;
+        let pending = pending_delays(
+            &self.ckpt.resume,
+            cfg_eff.delay_samples.min(cfg_eff.samples),
+        );
+        if pending.is_empty() {
+            return None;
+        }
+        let probe_cfg = McConfig {
+            delay_samples: 0,
+            ..cfg_eff.clone()
+        };
+        // No offsets at all (or a budget overrun) leaves nothing to
+        // measure; the final merge reports the corner's real outcome.
+        let assembled =
+            run_mc_controlled(&probe_cfg, &resume_control(&self.ckpt.resume, None)).ok()?;
+        self.delays(delay_swing_volts(cfg_eff, assembled.spec), pending)
+    }
+
+    /// The next adaptive block after `n` samples, or the delay phase once
+    /// the sample cap is reached.
+    fn next_round(&mut self, n: usize) -> Option<PhaseSpec> {
+        let cfg = &self.corner.cfg;
+        let (max_samples, block) = cfg.tail.as_ref().map_or((n, 1), |t| {
+            (t.max_samples.max(cfg.samples), t.block_samples.max(1))
+        });
+        if n >= max_samples {
+            return self.finish_rounds(n);
+        }
+        let n = n.saturating_add(block).min(max_samples);
+        self.rounds += 1;
+        self.step = Step::Round { n };
+        self.merge_cfg = self.final_cfg(n);
+        let round_cfg = self.round_cfg(n);
+        self.offsets(n, Some(round_cfg))
+    }
+
+    /// Ends the adaptive rounds at `n` samples: the delay phase under the
+    /// final effective config.
+    fn finish_rounds(&mut self, n: usize) -> Option<PhaseSpec> {
+        self.merge_cfg = self.final_cfg(n);
+        let cfg_eff = self.merge_cfg.clone();
+        self.tail_delays(&cfg_eff)
+    }
+
+    /// The effective config of a tail round over `[0, n)`.
+    fn round_cfg(&self, n: usize) -> McConfig {
+        McConfig {
+            samples: n,
+            delay_samples: 0,
+            ..self.resolved.clone()
+        }
+    }
+
+    /// The effective config of a tail corner stopped at `n` samples.
+    fn final_cfg(&self, n: usize) -> McConfig {
+        let cfg = &self.corner.cfg;
+        McConfig {
+            samples: n,
+            delay_samples: cfg.delay_samples.min(cfg.samples),
+            ..self.resolved.clone()
+        }
+    }
+
+    /// Merges newly arrived records of the corner's current phase.
+    fn absorb(&mut self, records: McResume) {
+        if let Some(wcfg) = &self.weight_cfg {
+            for &(i, _) in &records.offsets {
+                let lw = tail_log_weight(wcfg, i);
+                if lw != 0.0 {
+                    self.ckpt.resume.log_weights.push((i, lw));
+                }
+            }
+        }
+        self.ckpt.resume.offsets.extend(records.offsets);
+        self.ckpt.resume.delays.extend(records.delays);
+        self.ckpt.resume.failures.extend(records.failures);
+    }
+
+    /// The statistics a single-process run would build from the merged
+    /// records. A `cancelled` corner mirrors a local campaign interrupted
+    /// mid-corner: the merge keeps completed work and reports it partial.
+    fn finish(&mut self, cancelled: bool, progress: bool) {
+        let token = CancelToken::new();
+        if cancelled {
+            token.cancel(CancelCause::Interrupt);
+        }
+        let outcome = match run_mc_controlled(
+            &self.merge_cfg,
+            &resume_control(&self.ckpt.resume, Some(&token)),
+        ) {
+            Ok(mut result) => {
+                if let Some(t) = result.tail.as_mut() {
+                    t.rounds = self.rounds;
+                }
+                CornerOutcome::Completed(Box::new(result))
+            }
+            Err(e) => CornerOutcome::Failed(e),
+        };
+        if progress {
+            let name = &self.corner.name;
+            match &outcome {
+                CornerOutcome::Completed(r) if r.partial => eprintln!(
+                    "serve: corner {name:?} PARTIAL ({}/{} offsets)",
+                    r.offsets.len(),
+                    r.requested
+                ),
+                CornerOutcome::Completed(_) => eprintln!("serve: corner {name:?} done"),
+                CornerOutcome::Failed(e) => eprintln!("serve: corner {name:?} FAILED: {e}"),
+                CornerOutcome::Skipped => {}
+            }
+        }
+        self.outcome = Some(outcome);
+    }
+}
+
+/// Exact `f64` bits of a proposal's per-device shifts, positive side
+/// first — the `tail_bits` wire form.
+fn shift_bits(shift: &[f64], neg: &[f64]) -> Vec<u64> {
+    shift.iter().chain(neg).map(|s| s.to_bits()).collect()
+}
+
+fn resume_control<'r>(resume: &'r McResume, cancel: Option<&'r CancelToken>) -> McControl<'r> {
+    McControl {
+        resume: Some(resume),
+        observer: None,
+        cancel,
+    }
 }
 
 /// Offset-phase indices in `[start, end)` the resume does not already
@@ -871,419 +1343,6 @@ fn pending_delays(resume: &McResume, delay_count: usize) -> Vec<usize> {
         .collect()
 }
 
-/// Serves a tail-estimation corner: pilot phase, proposal resolution (a
-/// pure function of the merged pilot offsets, so every restart resolves
-/// the identical shift), adaptive sample-range rounds issued only while
-/// the stopping rule is unmet, then the delay phase at the weighted-spec
-/// swing. The stopping rule is evaluated between rounds by a zero-solve
-/// re-assembly of the merged records under the round's effective config
-/// — the same statistics the local engine checks at the same block
-/// boundary — so a distributed tail run converges on exactly the sample
-/// set (and the bit-identical result) of a local
-/// [`issa_core::tail::run_tail_mc`] run.
-///
-/// Returns the effective configuration the final merge must restore
-/// under, plus the adaptive round count for the result's tail summary.
-#[allow(clippy::too_many_arguments)]
-fn serve_tail_corner(
-    corner: &CampaignCorner,
-    opts: &ServeOptions,
-    shared: &Shared,
-    current: &mut CornerCheckpoint,
-    done_corners: &[CornerCheckpoint],
-    sched_total: &mut SchedStats,
-    units_budget: &mut Option<u64>,
-    writer: &mut Option<CheckpointWriter>,
-) -> (McConfig, u32) {
-    let cfg = &corner.cfg;
-    let Some(tail) = cfg.tail.clone() else {
-        return (cfg.clone(), 0);
-    };
-
-    // A pre-resolved config mirrors the local fallthrough (one classic
-    // run under the stored proposal): a single offset phase over
-    // [0, samples), shifted indices reconstructing the per-device shift
-    // from the exact bits shipped in the assignment.
-    if let Some(p) = tail.resolved {
-        let tail_bits: Vec<u64> = p
-            .shift
-            .iter()
-            .chain(p.neg.iter())
-            .map(|s| s.to_bits())
-            .collect();
-        let pending = pending_offsets(&current.resume, 0, cfg.samples);
-        let aborted = serve_phase(
-            corner,
-            McPhase::Offset,
-            0,
-            &tail_bits,
-            &pending,
-            opts,
-            shared,
-            current,
-            done_corners,
-            sched_total,
-            units_budget,
-            writer,
-            Some(cfg),
-        );
-        if !aborted {
-            serve_tail_delays(
-                corner,
-                cfg,
-                opts,
-                shared,
-                current,
-                done_corners,
-                sched_total,
-                units_budget,
-                writer,
-            );
-        }
-        return (cfg.clone(), 0);
-    }
-
-    // ---- Pilot: indices [0, samples) draw nominally -----------------
-    let pending = pending_offsets(&current.resume, 0, cfg.samples);
-    if serve_phase(
-        corner,
-        McPhase::Offset,
-        0,
-        &[],
-        &pending,
-        opts,
-        shared,
-        current,
-        done_corners,
-        sched_total,
-        units_budget,
-        writer,
-        None,
-    ) {
-        // Interrupted mid-pilot: no proposal exists yet. Merging under
-        // the original config reports the classic partial result a local
-        // pilot abort does, and a resumed campaign re-enters here.
-        return (cfg.clone(), 0);
-    }
-
-    // ---- Proposal: resolved here, shipped as exact bits --------------
-    // `resolve_proposal` filters to pilot indices, sorts, and dedups
-    // internally, so the raw indexed resume records feed it directly.
-    let proposal = resolve_proposal(cfg, &current.resume.offsets);
-    let tail_bits: Vec<u64> = proposal
-        .shift
-        .iter()
-        .chain(proposal.neg.iter())
-        .map(|s| s.to_bits())
-        .collect();
-    let resolved_cfg = with_resolved(cfg, &proposal.shift, &proposal.neg);
-    if opts.progress {
-        eprintln!(
-            "serve: corner {:?} tail proposal |shift| {:.3} (pilot {})",
-            corner.name,
-            proposal.magnitude(),
-            proposal.pilot
-        );
-    }
-
-    // ---- Adaptive rounds: deterministic blocks until converged -------
-    let max_samples = tail.max_samples.max(cfg.samples);
-    let mut n = cfg.samples;
-    let mut rounds: u32 = 0;
-    let mut round_aborted = false;
-    while n < max_samples {
-        n = n.saturating_add(tail.block_samples.max(1)).min(max_samples);
-        rounds += 1;
-        let round_cfg = McConfig {
-            samples: n,
-            delay_samples: 0,
-            ..resolved_cfg.clone()
-        };
-        let pending = pending_offsets(&current.resume, 0, n);
-        if serve_phase(
-            corner,
-            McPhase::Offset,
-            0,
-            &tail_bits,
-            &pending,
-            opts,
-            shared,
-            current,
-            done_corners,
-            sched_total,
-            units_budget,
-            writer,
-            Some(&round_cfg),
-        ) {
-            round_aborted = true;
-            break;
-        }
-        let ctl = McControl {
-            resume: Some(&current.resume),
-            observer: None,
-            cancel: None,
-        };
-        match run_mc_controlled(&round_cfg, &ctl) {
-            Ok(r) => {
-                if r.partial || r.tail.as_ref().is_some_and(|t| t.converged) {
-                    break;
-                }
-            }
-            // A failure-budget overrun here reproduces at the final merge
-            // under the same sample count, where it becomes the corner's
-            // Failed outcome — exactly when the local engine would error.
-            Err(_) => break,
-        }
-    }
-
-    let final_cfg = McConfig {
-        samples: n,
-        delay_samples: cfg.delay_samples.min(cfg.samples),
-        ..resolved_cfg
-    };
-    if !round_aborted {
-        serve_tail_delays(
-            corner,
-            &final_cfg,
-            opts,
-            shared,
-            current,
-            done_corners,
-            sched_total,
-            units_budget,
-            writer,
-        );
-    }
-    (final_cfg, rounds)
-}
-
-/// Serves a tail corner's delay phase. The swing derives from the
-/// *weighted* directly-estimated spec — obtained by a zero-solve
-/// re-assembly of the merged offsets under the effective config —
-/// because that is the spec the local engine's delay phase provisions
-/// for in tail mode.
-#[allow(clippy::too_many_arguments)]
-fn serve_tail_delays(
-    corner: &CampaignCorner,
-    cfg_eff: &McConfig,
-    opts: &ServeOptions,
-    shared: &Shared,
-    current: &mut CornerCheckpoint,
-    done_corners: &[CornerCheckpoint],
-    sched_total: &mut SchedStats,
-    units_budget: &mut Option<u64>,
-    writer: &mut Option<CheckpointWriter>,
-) {
-    let delay_count = cfg_eff.delay_samples.min(cfg_eff.samples);
-    if delay_count == 0 {
-        return;
-    }
-    let pending = pending_delays(&current.resume, delay_count);
-    if pending.is_empty() {
-        return;
-    }
-    let probe_cfg = McConfig {
-        delay_samples: 0,
-        ..cfg_eff.clone()
-    };
-    let ctl = McControl {
-        resume: Some(&current.resume),
-        observer: None,
-        cancel: None,
-    };
-    // No offsets at all (or a budget overrun) leaves nothing to measure;
-    // the final merge reports the corner's real outcome.
-    let Ok(assembled) = run_mc_controlled(&probe_cfg, &ctl) else {
-        return;
-    };
-    let swing = delay_swing_volts(cfg_eff, assembled.spec);
-    serve_phase(
-        corner,
-        McPhase::Delay,
-        swing.to_bits(),
-        &[],
-        &pending,
-        opts,
-        shared,
-        current,
-        done_corners,
-        sched_total,
-        units_budget,
-        writer,
-        None,
-    );
-}
-
-/// Serves one phase of one corner to the worker fleet: installs the
-/// scheduler, waits for completion while ticking leases and draining
-/// records, quarantines exhausted units, and streams the checkpoint.
-/// When `weight_cfg` is set (tail rounds), every drained offset record
-/// is annotated with its exact importance log-weight — a pure seed-tree
-/// replay, no solves — so the checkpoint and final merge carry them.
-/// Returns `true` when the abort hook ended the phase early.
-#[allow(clippy::too_many_arguments)]
-fn serve_phase(
-    corner: &CampaignCorner,
-    phase: McPhase,
-    swing_bits: u64,
-    tail_bits: &[u64],
-    pending: &[usize],
-    opts: &ServeOptions,
-    shared: &Shared,
-    current: &mut CornerCheckpoint,
-    done_corners: &[CornerCheckpoint],
-    sched_total: &mut SchedStats,
-    units_budget: &mut Option<u64>,
-    writer: &mut Option<CheckpointWriter>,
-    weight_cfg: Option<&McConfig>,
-) -> bool {
-    let drained =
-        || units_budget.is_some_and(|n| n == 0) || (opts.handle_signals && interrupt::requested());
-    if pending.is_empty() || drained() {
-        return drained();
-    }
-    let ranges = PhaseScheduler::ranges_of(pending, opts.scheduler.unit_samples);
-    // Unit ids are globally unique within the serve session so a stale
-    // result from a previous phase can never be mistaken for a fresh one.
-    static NEXT_UNIT_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
-    let base_id = NEXT_UNIT_ID.fetch_add(ranges.len() as u64, Ordering::Relaxed);
-    if opts.progress {
-        eprintln!(
-            "serve: corner {:?} {phase} phase: {} samples in {} units",
-            corner.name,
-            pending.len(),
-            ranges.len()
-        );
-    }
-    {
-        let mut s = lock(shared);
-        s.phase = Some(ActivePhase {
-            corner: corner.name.clone(),
-            phase,
-            swing_bits,
-            tail_bits: tail_bits.to_vec(),
-            scheduler: PhaseScheduler::new(&ranges, base_id, &opts.scheduler),
-            wanted: pending.iter().copied().collect(),
-            collected: McResume::default(),
-            units_completed: 0,
-        });
-    }
-    shared.cv.notify_all();
-
-    let mut fresh_since_flush = 0usize;
-    let mut aborted = false;
-    loop {
-        let mut s = lock(shared);
-        let (guard, _) = shared
-            .cv
-            .wait_timeout(s, opts.poll)
-            .unwrap_or_else(PoisonError::into_inner);
-        s = guard;
-        // Split borrows: the scheduler lives in `phase`, the flakiness
-        // records in `health`/`workers` — all fields of one state.
-        let st = &mut *s;
-        let Some(active) = st.phase.as_mut() else {
-            break;
-        };
-        let now = Instant::now();
-        active.scheduler.tick(now);
-
-        // Flakiness: every revocation (lease expiry or worker death)
-        // charges the worker's *name*, so a crash-looping host keeps its
-        // record across reconnects and is eventually refused at the
-        // handshake instead of burning unit retry budgets.
-        for wid in active.scheduler.drain_revoked() {
-            let Some(name) = st.workers.get(&wid).map(|w| w.name.clone()) else {
-                continue;
-            };
-            let health = st.health.entry(name).or_insert(WorkerHealth {
-                score: 0.0,
-                revocations: 0,
-                updated: now,
-            });
-            health.decay_to(now, shared.flaky_halflife);
-            health.score += 1.0;
-            health.revocations += 1;
-        }
-
-        // Quarantine: exhausted units become ordinary TimedOut failures,
-        // one per still-missing index, and flow through the same budget
-        // machinery as any other quarantined sample.
-        for (unit_id, start, end, attempts) in active.scheduler.drain_quarantined() {
-            for index in start..end {
-                if !active.wanted.remove(&index) {
-                    continue;
-                }
-                active.collected.failures.push(SampleFailure {
-                    index,
-                    seed: corner.cfg.seed,
-                    corner: corner.cfg.corner_label(),
-                    phase,
-                    kind: FailureKind::TimedOut,
-                    error: format!(
-                        "distributed unit {unit_id} quarantined after {attempts} lease \
-                         attempts (worker loss or lease timeout)"
-                    ),
-                    recovery_attempts: 0,
-                });
-            }
-        }
-
-        // Drain fresh records into the corner's durable state.
-        let drained = std::mem::take(&mut active.collected);
-        let drained_count = drained.records();
-        let new_units = active.units_completed;
-        active.units_completed = 0;
-        let complete = active.scheduler.is_complete();
-        if complete {
-            sched_total.stats_merge(&active.scheduler.stats);
-            s.phase = None;
-        }
-        drop(s);
-
-        if let Some(wcfg) = weight_cfg {
-            for &(i, _) in &drained.offsets {
-                let lw = tail_log_weight(wcfg, i);
-                if lw != 0.0 {
-                    current.resume.log_weights.push((i, lw));
-                }
-            }
-        }
-        current.resume.offsets.extend(drained.offsets);
-        current.resume.delays.extend(drained.delays);
-        current.resume.failures.extend(drained.failures);
-        fresh_since_flush += drained_count;
-        if let Some(budget) = units_budget.as_mut() {
-            *budget = budget.saturating_sub(new_units);
-            if *budget == 0 {
-                aborted = true;
-            }
-        }
-        if opts.handle_signals && interrupt::requested() {
-            // SIGINT/SIGTERM: same graceful path as the abort hook —
-            // stop scheduling, flush below, report the corner partial.
-            aborted = true;
-        }
-        if opts.flush_every > 0 && fresh_since_flush >= opts.flush_every {
-            fresh_since_flush = 0;
-            flush_checkpoint(writer, done_corners, Some(current));
-        }
-        if complete || aborted {
-            if aborted {
-                let mut s = lock(shared);
-                if let Some(active) = s.phase.take() {
-                    sched_total.stats_merge(&active.scheduler.stats);
-                }
-            }
-            break;
-        }
-    }
-    // Phase boundary: always flush, so a killed coordinator restarts
-    // from at worst one poll interval of lost records.
-    flush_checkpoint(writer, done_corners, Some(current));
-    aborted
-}
-
 trait StatsMerge {
     fn stats_merge(&mut self, other: &SchedStats);
 }
@@ -1294,24 +1353,19 @@ impl StatsMerge for SchedStats {
     }
 }
 
-/// Writes the checkpoint (done corners plus the in-flight one) through
-/// the degradation-aware writer: transient I/O trouble retries inside
-/// [`CheckpointWriter::flush`], persistent trouble degrades the run to
-/// checkpoint-less serving instead of failing it.
-fn flush_checkpoint(
-    writer: &mut Option<CheckpointWriter>,
-    done_corners: &[CornerCheckpoint],
-    current: Option<&CornerCheckpoint>,
-) {
+/// Writes the checkpoint — every corner with records, in campaign order —
+/// through the degradation-aware writer: transient I/O trouble retries
+/// inside [`CheckpointWriter::flush`], persistent trouble degrades the
+/// run to checkpoint-less serving instead of failing it.
+fn flush_checkpoint(writer: &mut Option<CheckpointWriter>, runs: &[CornerRun]) {
     let Some(writer) = writer.as_mut() else {
         return;
     };
-    let mut corners = done_corners.to_vec();
-    if let Some(c) = current {
-        if c.resume.records() > 0 {
-            corners.push(c.clone());
-        }
-    }
+    let corners = runs
+        .iter()
+        .filter(|r| r.ckpt.resume.records() > 0)
+        .map(|r| r.ckpt.clone())
+        .collect();
     writer.flush(&Checkpoint { corners });
 }
 
@@ -1336,21 +1390,13 @@ mod tests {
 
     fn test_shared(threshold: f64) -> Shared {
         Shared {
-            state: Mutex::new(ServeState {
-                finished: false,
-                next_worker_id: 1,
-                workers: HashMap::new(),
-                phase: None,
-                health: HashMap::new(),
-                flaky_rejected: Vec::new(),
-            }),
+            state: Mutex::new(ServeState::new()),
             cv: Condvar::new(),
             campaign_fp: 0xabcd_ef01_2345_6789,
             worker_timeout: Duration::from_secs(10),
             poll: Duration::from_millis(25),
             flaky_threshold: threshold,
             flaky_halflife: Duration::from_secs(300),
-            conns: std::sync::atomic::AtomicUsize::new(0),
         }
     }
 

@@ -28,11 +28,13 @@
 //!   assignments, heartbeats, and per-sample results that reuse the
 //!   checkpoint record format.
 //! - [`scheduler`] — the pure lease state machine: work units with
-//!   per-unit deadlines, bounded retries with exponential backoff, and
-//!   quarantine of units that exhaust their attempts.
+//!   per-unit deadlines, bounded retries with exponential backoff,
+//!   quarantine of units that exhaust their attempts, and the
+//!   campaign-order choice of work across phases served at once.
 //! - [`coordinator`] — [`coordinator::serve_campaign`]: accepts
-//!   workers, drives corners phase by phase, streams completed records
-//!   into the campaign checkpoint (resumable, atomic), and merges.
+//!   workers, serves every corner's ready phase at once, streams
+//!   completed records into the campaign checkpoint (resumable, atomic),
+//!   and merges.
 //! - [`worker`] — [`worker::run_worker`]: connects, computes assigned
 //!   units, heartbeats between samples, reconnects after faults.
 //! - [`service`] — [`service::run_service`]: a long-lived supervised

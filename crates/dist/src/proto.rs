@@ -73,11 +73,11 @@ impl UnitAssignment {
 
 /// Per-unit hot-path counters attributed to the worker that computed it.
 ///
-/// The underlying counters are process-global
-/// ([`issa_circuit::perf::snapshot`]), so in loopback mode (several
-/// workers in one process) concurrent units bleed into each other's
-/// deltas — totals stay exact, attribution is approximate. Across real
-/// processes the attribution is exact.
+/// The worker reads the thread-scoped counters
+/// ([`issa_circuit::perf::thread_snapshot`],
+/// [`issa_core::perf::thread_sense_calls`]) around the unit, so the
+/// attribution is exact even in loopback mode, where several workers
+/// compute concurrently in one process.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkerPerf {
     /// Circuit-level counters consumed by the unit.

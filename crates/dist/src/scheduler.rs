@@ -1,5 +1,6 @@
 //! The lease state machine: pure, clock-injected scheduling of one
-//! phase's work units across workers.
+//! phase's work units across workers, and of several phases served at
+//! once ([`assign_in_order`]).
 //!
 //! A *unit* is a contiguous sample-index range of one corner's phase.
 //! Units move through `Ready → Leased → Done`, with two detours:
@@ -41,9 +42,10 @@ pub struct SchedulerConfig {
     /// Base of the exponential retry backoff.
     pub retry_backoff: Duration,
     /// Straggler threshold for speculative re-execution. When a worker
-    /// asks for work, none is assignable (the phase is down to its
-    /// in-flight tail), and some lease is older than this, the idle
-    /// worker gets a *duplicate* lease on the oldest such unit. The
+    /// asks for work, no unit of any served phase is assignable (the
+    /// campaign is down to its in-flight tail), and some lease is older
+    /// than this, the idle worker gets a *duplicate* lease on such a unit
+    /// (earliest phase first, then the oldest lease within it). The
     /// existing idempotent first-result-wins merge makes speculation
     /// invisible to the output — both copies are bit-identical — it only
     /// trades duplicate compute for tail latency. `None` (the default)
@@ -84,18 +86,6 @@ struct Unit {
     /// the primary lease in `state` is still live. At most one
     /// speculative copy per lease.
     spec_worker: Option<u64>,
-}
-
-/// What the scheduler tells a requesting worker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Decision {
-    /// Lease this unit: `(unit id, start, end)`.
-    Assign(u64, usize, usize),
-    /// Nothing assignable right now (units leased or backing off);
-    /// ask again after this long.
-    Wait(Duration),
-    /// Every unit is done or quarantined.
-    Complete,
 }
 
 /// How an arriving result was applied.
@@ -251,88 +241,79 @@ impl PhaseScheduler {
         }
     }
 
-    /// Picks work for a requesting worker. Retried units prefer a
-    /// *different* worker when one is available; freshness is otherwise
-    /// first-come in unit order.
-    pub fn next_assignment(&mut self, worker: u64, now: Instant) -> Decision {
-        self.tick(now);
-        if self.is_complete() {
-            return Decision::Complete;
-        }
-        // First pass: an assignable unit this worker hasn't already lost.
-        // Second pass: any assignable unit (better the same worker than
-        // an idle one).
-        for require_other in [true, false] {
-            for unit in &mut self.units {
-                let assignable = match unit.state {
-                    UnitState::Ready => true,
-                    UnitState::Backoff { until } => now >= until,
-                    _ => false,
-                };
-                if !assignable || (require_other && unit.last_worker == Some(worker)) {
-                    continue;
-                }
-                if unit.attempts > 0 && unit.last_worker != Some(worker) {
-                    self.stats.reassigned += 1;
-                }
-                unit.attempts += 1;
-                unit.spec_worker = None;
-                unit.state = UnitState::Leased {
-                    worker,
-                    deadline: now + self.cfg.lease_timeout,
-                };
-                return Decision::Assign(unit.id, unit.start, unit.end);
-            }
-        }
-        // Nothing assignable — the phase is down to its in-flight tail.
-        // With speculation enabled, hand the idle worker a duplicate
-        // lease on the oldest straggling unit instead of parking it: the
-        // faster copy's result lands first and the slower one merges as a
-        // duplicate, so the tail no longer waits on one slow host.
-        if let Some(threshold) = self.cfg.speculate_after {
-            let mut straggler: Option<(usize, Instant)> = None;
-            for (k, unit) in self.units.iter().enumerate() {
-                let UnitState::Leased {
-                    worker: holder,
-                    deadline,
-                } = unit.state
-                else {
-                    continue;
-                };
-                // The lease's age is exact: it was issued lease_timeout
-                // before its deadline.
-                let leased_at = deadline - self.cfg.lease_timeout;
-                if holder == worker
-                    || unit.spec_worker.is_some()
-                    || now.saturating_duration_since(leased_at) < threshold
-                {
-                    continue;
-                }
-                if straggler.is_none_or(|(_, oldest)| leased_at < oldest) {
-                    straggler = Some((k, leased_at));
-                }
-            }
-            if let Some((k, _)) = straggler {
-                let unit = &mut self.units[k];
-                unit.spec_worker = Some(worker);
-                self.stats.speculated += 1;
-                return Decision::Assign(unit.id, unit.start, unit.end);
-            }
-        }
-        // Nothing assignable: wait until the nearest backoff expiry or
-        // lease deadline, whichever is sooner.
-        let mut wait = self.cfg.lease_timeout;
-        for unit in &self.units {
-            let at = match unit.state {
-                UnitState::Backoff { until } => Some(until),
-                UnitState::Leased { deadline, .. } => Some(deadline),
-                _ => None,
+    /// Leases the first assignable unit in unit order, skipping units
+    /// `worker` itself lost when `require_other` is set.
+    fn lease_fresh(
+        &mut self,
+        worker: u64,
+        now: Instant,
+        require_other: bool,
+    ) -> Option<(u64, usize, usize)> {
+        for unit in &mut self.units {
+            let assignable = match unit.state {
+                UnitState::Ready => true,
+                UnitState::Backoff { until } => now >= until,
+                _ => false,
             };
-            if let Some(at) = at {
-                wait = wait.min(at.saturating_duration_since(now));
+            if !assignable || (require_other && unit.last_worker == Some(worker)) {
+                continue;
+            }
+            if unit.attempts > 0 && unit.last_worker != Some(worker) {
+                self.stats.reassigned += 1;
+            }
+            unit.attempts += 1;
+            unit.spec_worker = None;
+            unit.state = UnitState::Leased {
+                worker,
+                deadline: now + self.cfg.lease_timeout,
+            };
+            return Some((unit.id, unit.start, unit.end));
+        }
+        None
+    }
+
+    /// With speculation armed, a duplicate lease for `worker` on this
+    /// phase's oldest straggling unit: the faster copy's result lands
+    /// first and the slower one merges as a duplicate, so the tail no
+    /// longer waits on one slow host.
+    fn lease_speculative(&mut self, worker: u64, now: Instant) -> Option<(u64, usize, usize)> {
+        let threshold = self.cfg.speculate_after?;
+        let mut straggler: Option<(usize, Instant)> = None;
+        for (k, unit) in self.units.iter().enumerate() {
+            let UnitState::Leased {
+                worker: holder,
+                deadline,
+            } = unit.state
+            else {
+                continue;
+            };
+            // The lease's age is exact: it was issued lease_timeout
+            // before its deadline.
+            let leased_at = deadline - self.cfg.lease_timeout;
+            if holder == worker
+                || unit.spec_worker.is_some()
+                || now.saturating_duration_since(leased_at) < threshold
+            {
+                continue;
+            }
+            if straggler.is_none_or(|(_, oldest)| leased_at < oldest) {
+                straggler = Some((k, leased_at));
             }
         }
-        Decision::Wait(wait.max(Duration::from_millis(10)))
+        let (k, _) = straggler?;
+        let unit = &mut self.units[k];
+        unit.spec_worker = Some(worker);
+        self.stats.speculated += 1;
+        Some((unit.id, unit.start, unit.end))
+    }
+
+    /// Whether `unit_id` is one of this phase's units (ids are contiguous
+    /// from the base id).
+    #[must_use]
+    pub(crate) fn owns(&self, unit_id: u64) -> bool {
+        self.units
+            .first()
+            .is_some_and(|u| (u.id..u.id + self.units.len() as u64).contains(&unit_id))
     }
 
     /// Marks a unit's result received.
@@ -380,10 +361,52 @@ impl PhaseScheduler {
     }
 }
 
+/// Picks work for a requesting worker across phases served at once,
+/// given in campaign order; returns the chosen phase's position and the
+/// lease `(unit id, start, end)`, or `None` when nothing is assignable.
+///
+/// The order of preference:
+///
+/// 1. a fresh (ready, or past its retry backoff) unit the worker has not
+///    itself lost, first in campaign order, then unit order;
+/// 2. such a unit the worker did lose — better the same worker than an
+///    idle one;
+/// 3. only when no phase has a fresh unit left, and speculation is
+///    armed, a duplicate lease on a straggler: the earliest phase that
+///    has one, its oldest lease.
+///
+/// Every phase's expired leases are revoked first.
+pub fn assign_in_order(
+    phases: &mut [&mut PhaseScheduler],
+    worker: u64,
+    now: Instant,
+) -> Option<(usize, u64, usize, usize)> {
+    for phase in phases.iter_mut() {
+        phase.tick(now);
+    }
+    for require_other in [true, false] {
+        for (k, phase) in phases.iter_mut().enumerate() {
+            if let Some((id, start, end)) = phase.lease_fresh(worker, now, require_other) {
+                return Some((k, id, start, end));
+            }
+        }
+    }
+    phases.iter_mut().enumerate().find_map(|(k, phase)| {
+        phase
+            .lease_speculative(worker, now)
+            .map(|(id, start, end)| (k, id, start, end))
+    })
+}
+
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used)]
     use super::*;
+
+    /// One phase alone through [`assign_in_order`].
+    fn next(s: &mut PhaseScheduler, worker: u64, now: Instant) -> Option<(u64, usize, usize)> {
+        assign_in_order(&mut [s], worker, now).map(|(_, id, start, end)| (id, start, end))
+    }
 
     fn cfg() -> SchedulerConfig {
         SchedulerConfig {
@@ -413,13 +436,13 @@ mod tests {
     fn assigns_all_units_then_waits_then_completes() {
         let mut s = PhaseScheduler::new(&[(0, 4), (4, 8)], 10, &cfg());
         let now = Instant::now();
-        assert_eq!(s.next_assignment(1, now), Decision::Assign(10, 0, 4));
-        assert_eq!(s.next_assignment(2, now), Decision::Assign(11, 4, 8));
-        assert!(matches!(s.next_assignment(3, now), Decision::Wait(_)));
+        assert_eq!(next(&mut s, 1, now), Some((10, 0, 4)));
+        assert_eq!(next(&mut s, 2, now), Some((11, 4, 8)));
+        assert_eq!(next(&mut s, 3, now), None);
         assert_eq!(s.apply_result(10), Applied::Fresh);
         assert_eq!(s.apply_result(11), Applied::Fresh);
         assert!(s.is_complete());
-        assert_eq!(s.next_assignment(3, now), Decision::Complete);
+        assert_eq!(next(&mut s, 3, now), None);
         assert_eq!(s.stats, SchedStats::default());
     }
 
@@ -427,12 +450,12 @@ mod tests {
     fn expired_lease_is_retried_on_another_worker() {
         let mut s = PhaseScheduler::new(&[(0, 4)], 0, &cfg());
         let t0 = Instant::now();
-        assert_eq!(s.next_assignment(1, t0), Decision::Assign(0, 0, 4));
+        assert_eq!(next(&mut s, 1, t0), Some((0, 0, 4)));
         // The periodic tick notices the expired lease; past the backoff,
         // another worker inherits the unit.
         s.tick(t0 + Duration::from_millis(150));
         let t1 = t0 + Duration::from_millis(200);
-        assert_eq!(s.next_assignment(2, t1), Decision::Assign(0, 0, 4));
+        assert_eq!(next(&mut s, 2, t1), Some((0, 0, 4)));
         assert_eq!(s.stats.retries, 1);
         assert_eq!(s.stats.reassigned, 1);
         assert_eq!(s.apply_result(0), Applied::Fresh);
@@ -443,27 +466,27 @@ mod tests {
     fn dead_workers_lease_is_released_immediately_with_backoff() {
         let mut s = PhaseScheduler::new(&[(0, 4)], 0, &cfg());
         let t0 = Instant::now();
-        assert_eq!(s.next_assignment(1, t0), Decision::Assign(0, 0, 4));
+        assert_eq!(next(&mut s, 1, t0), Some((0, 0, 4)));
         s.worker_dead(1, t0);
         // Still backing off: the dead worker's unit is not instantly
         // rescheduled (give a flapping peer time to settle).
-        assert!(matches!(s.next_assignment(2, t0), Decision::Wait(_)));
+        assert_eq!(next(&mut s, 2, t0), None);
         let t1 = t0 + Duration::from_millis(25);
-        assert_eq!(s.next_assignment(2, t1), Decision::Assign(0, 0, 4));
+        assert_eq!(next(&mut s, 2, t1), Some((0, 0, 4)));
     }
 
     #[test]
     fn retried_unit_prefers_a_different_worker() {
         let mut s = PhaseScheduler::new(&[(0, 4), (4, 8)], 0, &cfg());
         let t0 = Instant::now();
-        assert_eq!(s.next_assignment(1, t0), Decision::Assign(0, 0, 4));
+        assert_eq!(next(&mut s, 1, t0), Some((0, 0, 4)));
         s.worker_dead(1, t0);
         let t1 = t0 + Duration::from_millis(25);
         // Worker 1 comes back: it gets the *fresh* unit, not the one it
         // just lost.
-        assert_eq!(s.next_assignment(1, t1), Decision::Assign(1, 4, 8));
+        assert_eq!(next(&mut s, 1, t1), Some((1, 4, 8)));
         // But when only its lost unit remains, it may take it back.
-        assert_eq!(s.next_assignment(1, t1), Decision::Assign(0, 0, 4));
+        assert_eq!(next(&mut s, 1, t1), Some((0, 0, 4)));
     }
 
     #[test]
@@ -471,7 +494,7 @@ mod tests {
         let mut s = PhaseScheduler::new(&[(0, 4)], 7, &cfg());
         let mut now = Instant::now();
         for _ in 0..2 {
-            assert_eq!(s.next_assignment(1, now), Decision::Assign(7, 0, 4));
+            assert_eq!(next(&mut s, 1, now), Some((7, 0, 4)));
             s.worker_dead(1, now);
             now += Duration::from_secs(1);
         }
@@ -488,7 +511,7 @@ mod tests {
     fn duplicate_and_stale_results_are_discarded() {
         let mut s = PhaseScheduler::new(&[(0, 4)], 0, &cfg());
         let now = Instant::now();
-        assert_eq!(s.next_assignment(1, now), Decision::Assign(0, 0, 4));
+        assert_eq!(next(&mut s, 1, now), Some((0, 0, 4)));
         assert_eq!(s.apply_result(0), Applied::Fresh);
         assert_eq!(s.apply_result(0), Applied::Duplicate);
         assert_eq!(s.apply_result(99), Applied::Unknown);
@@ -502,21 +525,21 @@ mod tests {
         c.speculate_after = Some(Duration::from_millis(50));
         let mut s = PhaseScheduler::new(&[(0, 4), (4, 8)], 0, &c);
         let t0 = Instant::now();
-        assert_eq!(s.next_assignment(1, t0), Decision::Assign(0, 0, 4));
+        assert_eq!(next(&mut s, 1, t0), Some((0, 0, 4)));
         let t1 = t0 + Duration::from_millis(10);
-        assert_eq!(s.next_assignment(2, t1), Decision::Assign(1, 4, 8));
+        assert_eq!(next(&mut s, 2, t1), Some((1, 4, 8)));
         // Too young to speculate: the idle worker waits.
-        assert!(matches!(s.next_assignment(3, t1), Decision::Wait(_)));
+        assert_eq!(next(&mut s, 3, t1), None);
         // Past the threshold, worker 3 gets a duplicate lease on the
         // oldest straggler (unit 0, leased at t0).
         let t2 = t0 + Duration::from_millis(60);
-        assert_eq!(s.next_assignment(3, t2), Decision::Assign(0, 0, 4));
+        assert_eq!(next(&mut s, 3, t2), Some((0, 0, 4)));
         assert_eq!(s.stats.speculated, 1);
         // One speculative copy per unit: the next idle worker gets unit
         // 1's copy (also past the threshold), then waits.
-        assert_eq!(s.next_assignment(4, t2), Decision::Assign(1, 4, 8));
+        assert_eq!(next(&mut s, 4, t2), Some((1, 4, 8)));
         assert_eq!(s.stats.speculated, 2);
-        assert!(matches!(s.next_assignment(5, t2), Decision::Wait(_)));
+        assert_eq!(next(&mut s, 5, t2), None);
         // First result wins; the duplicate is discarded.
         assert_eq!(s.apply_result(0), Applied::Fresh);
         assert_eq!(s.apply_result(0), Applied::Duplicate);
@@ -534,10 +557,10 @@ mod tests {
         c.speculate_after = Some(Duration::ZERO);
         let mut s = PhaseScheduler::new(&[(0, 4)], 0, &c);
         let t0 = Instant::now();
-        assert_eq!(s.next_assignment(1, t0), Decision::Assign(0, 0, 4));
+        assert_eq!(next(&mut s, 1, t0), Some((0, 0, 4)));
         // The lease holder itself never speculates on its own unit.
-        assert!(matches!(s.next_assignment(1, t0), Decision::Wait(_)));
-        assert_eq!(s.next_assignment(2, t0), Decision::Assign(0, 0, 4));
+        assert_eq!(next(&mut s, 1, t0), None);
+        assert_eq!(next(&mut s, 2, t0), Some((0, 0, 4)));
         // The speculative worker dies: the slot clears, the primary lease
         // survives, and a new idle worker may re-speculate.
         s.worker_dead(2, t0);
@@ -545,7 +568,7 @@ mod tests {
             s.drain_revoked().is_empty(),
             "spec death is not a revocation"
         );
-        assert_eq!(s.next_assignment(3, t0), Decision::Assign(0, 0, 4));
+        assert_eq!(next(&mut s, 3, t0), Some((0, 0, 4)));
         assert_eq!(s.stats.speculated, 2);
     }
 
@@ -553,18 +576,80 @@ mod tests {
     fn speculation_off_by_default_and_revocations_drain() {
         let mut s = PhaseScheduler::new(&[(0, 4)], 0, &cfg());
         let t0 = Instant::now();
-        assert_eq!(s.next_assignment(1, t0), Decision::Assign(0, 0, 4));
+        assert_eq!(next(&mut s, 1, t0), Some((0, 0, 4)));
         // Default config: an idle worker always waits on the tail.
-        assert!(matches!(s.next_assignment(2, t0), Decision::Wait(_)));
+        assert_eq!(next(&mut s, 2, t0), None);
         // Lease expiry and worker death both drain as revocations
         // attributed to the worker that lost the lease.
         s.tick(t0 + Duration::from_millis(150));
         assert_eq!(s.drain_revoked(), vec![1]);
         let t1 = t0 + Duration::from_millis(200);
-        assert_eq!(s.next_assignment(2, t1), Decision::Assign(0, 0, 4));
+        assert_eq!(next(&mut s, 2, t1), Some((0, 0, 4)));
         s.worker_dead(2, t1);
         assert_eq!(s.drain_revoked(), vec![2]);
         assert!(s.drain_revoked().is_empty(), "drain is one-shot");
+    }
+
+    #[test]
+    fn a_later_phases_fresh_unit_beats_speculating_on_an_earlier_one() {
+        let mut c = cfg();
+        c.lease_timeout = Duration::from_secs(60);
+        c.speculate_after = Some(Duration::from_millis(50));
+        let mut first = PhaseScheduler::new(&[(0, 4)], 0, &c);
+        let mut second = PhaseScheduler::new(&[(0, 4), (4, 8)], 10, &c);
+        let t0 = Instant::now();
+        // Campaign order: worker 1 takes the earlier phase's only unit.
+        assert_eq!(
+            assign_in_order(&mut [&mut first, &mut second], 1, t0),
+            Some((0, 0, 0, 4))
+        );
+        // Long past the threshold, worker 1's lease is a straggler, yet
+        // worker 2 gets the later phase's fresh units first.
+        let t1 = t0 + Duration::from_secs(1);
+        assert_eq!(
+            assign_in_order(&mut [&mut first, &mut second], 2, t1),
+            Some((1, 10, 0, 4))
+        );
+        assert_eq!(
+            assign_in_order(&mut [&mut first, &mut second], 2, t1),
+            Some((1, 11, 4, 8))
+        );
+        assert_eq!(first.stats.speculated, 0);
+        // No fresh unit left anywhere: now worker 3 speculates, on the
+        // earliest phase's straggler.
+        assert_eq!(
+            assign_in_order(&mut [&mut first, &mut second], 3, t1),
+            Some((0, 0, 0, 4))
+        );
+        assert_eq!(first.stats.speculated, 1);
+        assert_eq!(second.stats.speculated, 0);
+        // Results route by unit id: each phase owns only its own range.
+        assert!(first.owns(0) && !first.owns(10));
+        assert!(second.owns(10) && second.owns(11) && !second.owns(12));
+    }
+
+    #[test]
+    fn a_units_loser_takes_another_phases_fresh_unit_first() {
+        let mut first = PhaseScheduler::new(&[(0, 4)], 0, &cfg());
+        let mut second = PhaseScheduler::new(&[(0, 4)], 10, &cfg());
+        let t0 = Instant::now();
+        assert_eq!(
+            assign_in_order(&mut [&mut first, &mut second], 1, t0),
+            Some((0, 0, 0, 4))
+        );
+        first.worker_dead(1, t0);
+        // Past the backoff, worker 1 is steered to the later phase rather
+        // than back to the unit it just lost.
+        let t1 = t0 + Duration::from_millis(25);
+        assert_eq!(
+            assign_in_order(&mut [&mut first, &mut second], 1, t1),
+            Some((1, 10, 0, 4))
+        );
+        assert_eq!(
+            assign_in_order(&mut [&mut first, &mut second], 1, t1),
+            Some((0, 0, 0, 4))
+        );
+        assert_eq!(assign_in_order(&mut [&mut first, &mut second], 1, t1), None);
     }
 
     #[test]
@@ -574,10 +659,10 @@ mod tests {
         // what worker 2 would send), and worker 2's copy is discarded.
         let mut s = PhaseScheduler::new(&[(0, 4)], 0, &cfg());
         let t0 = Instant::now();
-        assert_eq!(s.next_assignment(1, t0), Decision::Assign(0, 0, 4));
+        assert_eq!(next(&mut s, 1, t0), Some((0, 0, 4)));
         s.tick(t0 + Duration::from_millis(150));
         let t1 = t0 + Duration::from_millis(200);
-        assert_eq!(s.next_assignment(2, t1), Decision::Assign(0, 0, 4));
+        assert_eq!(next(&mut s, 2, t1), Some((0, 0, 4)));
         assert_eq!(s.apply_result(0), Applied::Fresh);
         assert_eq!(s.apply_result(0), Applied::Duplicate);
         assert!(s.is_complete());

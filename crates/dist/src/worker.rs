@@ -14,6 +14,7 @@ use crate::proto::{
     campaign_fingerprint, Msg, UnitAssignment, UnitResult, WorkerPerf, PROTO_VERSION,
 };
 use crate::DistError;
+use issa_circuit::PerfSnapshot;
 use issa_core::batch::{batching_enabled, run_delay_batch, run_offset_batch, BatchHooks};
 use issa_core::campaign::CampaignCorner;
 use issa_core::montecarlo::{
@@ -373,8 +374,10 @@ fn compute_unit(
         worker_id,
         ..UnitResult::default()
     };
-    let circuit_before = issa_circuit::perf::snapshot();
-    let sense_before = issa_core::perf::sense_calls();
+    // Thread-scoped counters: the unit runs entirely on this thread, so
+    // the delta is its own work even with other workers in the process.
+    let circuit_before = issa_circuit::perf::thread_snapshot();
+    let sense_before = issa_core::perf::thread_sense_calls();
     // One warm-started search per unit, exactly like one shard's loop:
     // the carrier changes probe order, never the result.
     let mut search = OffsetSearch::default();
@@ -415,10 +418,7 @@ fn compute_unit(
                     SampleRun::Cancelled => {}
                 }
             }
-            result.perf = WorkerPerf {
-                circuit: issa_circuit::perf::snapshot().delta_since(&circuit_before),
-                sense_calls: issa_core::perf::sense_calls() - sense_before,
-            };
+            result.perf = unit_perf(&circuit_before, sense_before);
             return Ok(result);
         }
         // Config not batchable: fall through to the scalar loop.
@@ -456,11 +456,16 @@ fn compute_unit(
             SampleRun::Cancelled => {}
         }
     }
-    result.perf = WorkerPerf {
-        circuit: issa_circuit::perf::snapshot().delta_since(&circuit_before),
-        sense_calls: issa_core::perf::sense_calls() - sense_before,
-    };
+    result.perf = unit_perf(&circuit_before, sense_before);
     Ok(result)
+}
+
+/// This thread's hot-path work since the given readings.
+fn unit_perf(circuit_before: &PerfSnapshot, sense_before: u64) -> WorkerPerf {
+    WorkerPerf {
+        circuit: issa_circuit::perf::thread_snapshot().delta_since(circuit_before),
+        sense_calls: issa_core::perf::thread_sense_calls() - sense_before,
+    }
 }
 
 #[cfg(test)]

@@ -76,6 +76,13 @@ cargo test -q --test array_trace
 echo "== distribution suites (frames, scheduler, loopback fleet) =="
 cargo test -q -p issa-dist
 cargo test -q --test dist_loopback
+cargo test -q --test dist_perf_attribution
+
+echo "== benchmark suite (dist_table2 == service_table2 bit for bit, exact counts repeat) =="
+# The repository benchmark's own tests: every workload emits every
+# declared metric, the dist and service paths agree digest for digest,
+# and an injected wrong digest or forced recompute trips the check.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "== kill-and-resume smoke (SIGKILL mid-campaign) =="
 # Start a real campaign, SIGKILL it mid-flight, resume from the

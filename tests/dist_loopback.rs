@@ -9,13 +9,14 @@ use issa::circuit::faultinject::{FaultKind, FaultPlan};
 use issa::core::campaign::{run_campaign, CampaignCorner, CampaignOptions, CornerOutcome};
 use issa::core::montecarlo::{run_mc, FailureKind, McConfig, McPhase};
 use issa::dist::coordinator::{serve_campaign, DistReport, ServeOptions};
-use issa::dist::frame::{WireFault, WireFaultPlan};
+use issa::dist::frame::{FrameStream, WireFault, WireFaultPlan};
+use issa::dist::proto::{campaign_fingerprint, Msg, UnitAssignment, PROTO_VERSION};
 use issa::dist::scheduler::SchedulerConfig;
 use issa::dist::worker::{run_worker, WorkerOptions};
 use issa::dist::DistError;
 use issa::prelude::*;
 use issa::SaError;
-use std::net::TcpListener;
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -544,4 +545,183 @@ fn crash_looping_worker_is_quarantined_and_campaign_completes() {
         &reference,
         "quarantine rebalances work; it must not perturb the result"
     );
+}
+
+/// A bare protocol client: hand-shakes, then asks until it is handed a
+/// unit. The lease is held for as long as the returned stream is open.
+fn lease_one(
+    addr: SocketAddr,
+    corners: &[CampaignCorner],
+    name: &str,
+) -> (FrameStream<TcpStream>, UnitAssignment) {
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let mut frames = FrameStream::new(stream);
+    let mut call = |msg: Msg| {
+        frames.send(&msg.to_bytes()).expect("send");
+        Msg::from_bytes(&frames.recv().expect("reply")).expect("decodes")
+    };
+    let worker_id = match call(Msg::Hello {
+        proto: PROTO_VERSION,
+        campaign_fp: campaign_fingerprint(corners),
+        name: name.into(),
+    }) {
+        Msg::Welcome { worker_id } => worker_id,
+        other => panic!("handshake answered {other:?}"),
+    };
+    loop {
+        match call(Msg::Request { worker_id }) {
+            Msg::Assign(a) => return (frames, a),
+            Msg::Wait { .. } => {}
+            other => panic!("request answered {other:?}"),
+        }
+    }
+}
+
+/// Corners do not wait for one another: with two corners and two
+/// workers, the second worker's first request gets the second corner's
+/// offset unit while the first worker still holds the first corner's —
+/// and the merged campaign is still bit-identical to the local runs.
+#[test]
+fn two_corners_offset_units_are_leased_at_once_and_merge_bit_identically() {
+    let corners = vec![
+        corner("nssa-80r0", base_cfg(0.8)),
+        corner("nssa-50r0", base_cfg(0.5)),
+    ];
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().expect("listener addr");
+    let serve_corners = corners.clone();
+    let server = std::thread::spawn(move || {
+        serve_campaign(
+            listener,
+            &serve_corners,
+            &ServeOptions {
+                // One unit per phase: each corner's offsets are a single
+                // lease.
+                scheduler: SchedulerConfig {
+                    unit_samples: SAMPLES,
+                    ..test_scheduler()
+                },
+                poll: Duration::from_millis(10),
+                ..ServeOptions::default()
+            },
+        )
+        .expect("serve completes")
+    });
+
+    // Two bare clients take a lease each and hold it.
+    let (first_conn, first) = lease_one(addr, &corners, "holder-1");
+    let (second_conn, second) = lease_one(addr, &corners, "holder-2");
+    for (a, name) in [(&first, "nssa-80r0"), (&second, "nssa-50r0")] {
+        assert_eq!(a.corner, name, "units go out in campaign order");
+        assert_eq!(a.phase, McPhase::Offset);
+        assert_eq!((a.start, a.end), (0, SAMPLES));
+    }
+
+    // The holders hang up, which revokes their leases; real workers
+    // finish the campaign.
+    drop((first_conn, second_conn));
+    let workers: Vec<_> = ["w1", "w2"]
+        .into_iter()
+        .map(|name| {
+            let corners = corners.clone();
+            std::thread::spawn(move || run_worker(addr, &corners, &worker(name)))
+        })
+        .collect();
+    let report = server.join().expect("coordinator thread");
+    for w in workers {
+        w.join().expect("worker thread").expect("worker finishes");
+    }
+    assert!(!report.campaign.partial);
+    for c in &corners {
+        assert_eq!(
+            report.campaign.result(&c.name).expect("corner completes"),
+            &run_mc(&c.cfg).unwrap(),
+            "corner {:?} must be bit-identical to the local run",
+            c.name
+        );
+    }
+}
+
+/// The abort hook stops every corner in flight at once: each corner not
+/// finished by then reports partial — statistics over its completed
+/// samples, or a cancellation when it has none — and the checkpoint
+/// resumes bit-identically both under a fresh coordinator and under the
+/// local engine, so checkpoints stay interchangeable in both directions.
+#[test]
+fn abort_leaves_several_corners_partial_and_resumes_anywhere() {
+    let corners = [
+        corner("nssa-80r0", base_cfg(0.8)),
+        corner("nssa-50r0", base_cfg(0.5)),
+        corner("nssa-20r0", base_cfg(0.2)),
+        corner(
+            "nssa-80r0-seed7",
+            McConfig {
+                seed: 7,
+                ..base_cfg(0.8)
+            },
+        ),
+    ];
+    let path = temp_ckpt("multi-abort");
+    let opts = |abort: Option<u64>| ServeOptions {
+        // One unit per phase: two completed units finish at most one
+        // corner, whichever two they are.
+        scheduler: SchedulerConfig {
+            unit_samples: SAMPLES,
+            ..test_scheduler()
+        },
+        poll: Duration::from_millis(10),
+        checkpoint: Some(path.clone()),
+        flush_every: 1,
+        abort_after_units: abort,
+        loopback: vec![worker("w1"), worker("w2")],
+        ..ServeOptions::default()
+    };
+
+    let aborted = serve(&corners, &opts(Some(2)));
+    assert!(aborted.campaign.partial);
+    assert_eq!(aborted.campaign.cancelled, Some(CancelCause::Interrupt));
+    let stopped = aborted
+        .campaign
+        .corners
+        .iter()
+        .filter(|c| match &c.outcome {
+            CornerOutcome::Completed(r) => r.partial,
+            CornerOutcome::Failed(SaError::Cancelled { .. }) => true,
+            CornerOutcome::Failed(_) | CornerOutcome::Skipped => false,
+        })
+        .count();
+    assert!(stopped >= 2, "corners stopped in flight: {stopped}");
+    assert!(path.exists(), "an aborted serve leaves its checkpoint");
+
+    // Dist → local: the local engine finishes a copy of the checkpoint.
+    let local_path = temp_ckpt("multi-abort-local");
+    std::fs::copy(&path, &local_path).expect("copy checkpoint");
+    let local = run_campaign(
+        &corners,
+        &CampaignOptions {
+            checkpoint: Some(local_path.clone()),
+            ..CampaignOptions::default()
+        },
+    )
+    .unwrap();
+    assert!(local.resumed_records >= SAMPLES);
+
+    // Dist → dist: a fresh coordinator finishes the original.
+    let resumed = serve(&corners, &opts(None));
+    assert_eq!(resumed.campaign.resumed_records, local.resumed_records);
+    for report in [&local, &resumed.campaign] {
+        assert!(!report.partial);
+        for c in &corners {
+            assert_eq!(
+                report.result(&c.name).expect("corner completes"),
+                &run_mc(&c.cfg).unwrap(),
+                "corner {:?} must resume bit-identically",
+                c.name
+            );
+        }
+    }
+    assert!(!path.exists() && !local_path.exists());
 }

@@ -248,7 +248,7 @@ proptest! {
     #[test]
     fn ladder_counters_are_monotone(steps in 1u64..4) {
         use issa::circuit::faultinject::{FaultKind, FaultPlan, FaultScope};
-        use issa::circuit::perf::{snapshot, thread_recovery_attempts};
+        use issa::circuit::perf::{snapshot, thread_snapshot};
         use issa::circuit::{tran::transient, RecoveryPolicy};
         use std::sync::Arc;
 
@@ -258,22 +258,26 @@ proptest! {
             plan = plan.transient(0, s * 7, FaultKind::NonConvergence);
         }
         let plan = Arc::new(plan);
-        let mut last_thread = thread_recovery_attempts();
+        // Exact checks read the thread-scoped view: the persistent-fault
+        // properties above run concurrently in this binary and exhaust
+        // their ladders, which a process-global delta would pick up.
+        let mut last = thread_snapshot();
         let mut last_global = snapshot();
         for _ in 0..3 {
             {
                 let _scope = FaultScope::enter(plan.clone(), 0);
                 transient(&n, &ladder_params(RecoveryPolicy::default())).unwrap();
             }
-            // Every run adds exactly `steps` recoveries on this thread and
-            // at least that many globally — the counters never move down.
-            let thread_now = thread_recovery_attempts();
-            prop_assert_eq!(thread_now - last_thread, steps);
-            last_thread = thread_now;
-            let global_now = snapshot();
-            let d = global_now.delta_since(&last_global);
-            prop_assert!(d.recovery_attempts() >= steps);
+            // Every run adds exactly `steps` recoveries on this thread,
+            // none of them an exhausted ladder, and at least that many
+            // globally — the counters never move down.
+            let now = thread_snapshot();
+            let d = now.delta_since(&last);
+            prop_assert_eq!(d.recovery_attempts(), steps);
             prop_assert_eq!(d.recoveries_failed, 0);
+            last = now;
+            let global_now = snapshot();
+            prop_assert!(global_now.delta_since(&last_global).recovery_attempts() >= steps);
             last_global = global_now;
         }
     }
