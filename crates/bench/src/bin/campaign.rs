@@ -92,7 +92,7 @@ use issa_bench::{
 use issa_core::campaign::{
     run_campaign, CampaignCorner, CampaignOptions, CampaignReport, CornerOutcome,
 };
-use issa_core::checkpoint::{sweep_stale_temps, SavePolicy};
+use issa_core::durable::{parent_dir, sweep_stale_temps, write_atomic, Fnv64, SavePolicy};
 use issa_core::montecarlo::{McConfig, McResult};
 use issa_core::netlist::SaKind;
 use issa_core::probe::ProbeOptions;
@@ -748,15 +748,15 @@ fn build_info() -> String {
     )
 }
 
-/// Atomically publishes the bound address: write a sibling temp file,
-/// then rename over the target, so a polling launcher never reads a
-/// half-written address (same discipline as checkpoint saves).
+/// Atomically publishes the bound address through the same durable write
+/// as checkpoint saves, so a polling launcher never reads a half-written
+/// address.
 fn write_port_file(path: &Path, local: &std::net::SocketAddr) {
-    let tmp = path.with_extension("port.tmp");
-    let publish =
-        std::fs::write(&tmp, format!("{local}\n")).and_then(|()| std::fs::rename(&tmp, path));
-    if let Err(e) = publish {
-        let _ = std::fs::remove_file(&tmp);
+    if let Err(e) = write_atomic(
+        path,
+        format!("{local}\n").as_bytes(),
+        &SavePolicy::standard(),
+    ) {
         eprintln!("error: cannot write port file {}: {e}", path.display());
         std::process::exit(1);
     }
@@ -768,11 +768,7 @@ fn write_port_file(path: &Path, local: &std::net::SocketAddr) {
 /// directories inside [`run_service`].
 fn sweep_checkpoint_dir(checkpoint: Option<&PathBuf>) {
     let Some(path) = checkpoint else { return };
-    let dir = match path.parent() {
-        Some(d) if !d.as_os_str().is_empty() => d.to_path_buf(),
-        _ => PathBuf::from("."),
-    };
-    for stale in sweep_stale_temps(&dir) {
+    for stale in sweep_stale_temps(parent_dir(path)) {
         println!("campaign: removed stale temp {}", stale.display());
     }
 }
@@ -1268,13 +1264,11 @@ fn client_mode(args: &Args) -> ! {
 /// compared through their literal CSV rows; this covers fig7 corners
 /// (no full-precision CSV row) and the raw offset/delay vectors.
 fn result_bits(r: &McResult) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut samples = Fnv64::default();
     for v in r.offsets.iter().chain(&r.delays) {
-        for b in v.to_bits().to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        samples.update(&v.to_bits().to_le_bytes());
     }
+    let h = samples.finish();
     format!(
         "n{} fail{} mu{:016x} sigma{:016x} spec{:016x} delay{:016x} samples{h:016x}",
         r.offsets.len(),
@@ -1298,11 +1292,8 @@ fn result_bits(r: &McResult) -> String {
 fn chaos_mode(args: &Args, corners: &[CampaignCorner], tables: &[TableArtifact]) -> ! {
     let seed = args.chaos_seed.expect("chaos mode always has a seed");
     let ckpt = args.checkpoint.clone().expect("validated in parse()");
-    let dir = match ckpt.parent() {
-        Some(d) if !d.as_os_str().is_empty() => d.to_path_buf(),
-        _ => PathBuf::from("."),
-    };
-    std::fs::create_dir_all(&dir).expect("create chaos dir");
+    let dir = parent_dir(&ckpt);
+    std::fs::create_dir_all(dir).expect("create chaos dir");
     let dir = dir.canonicalize().expect("canonicalize chaos dir");
     let ckpt_abs = dir.join(ckpt.file_name().expect("checkpoint file name"));
     let _ = std::fs::remove_file(&ckpt_abs);

@@ -14,11 +14,11 @@
 //! exact transient the scalar path would have run (shared
 //! [`TranParams`] builders in [`crate::probe`], shared drive-level and
 //! trace-extraction helpers, a lane engine whose per-lane IEEE operation
-//! sequence equals the scalar engine's), and the offset search's result
-//! is independent of probe order (the flip cell on the fixed dyadic grid
-//! is unique — see [`OffsetSearch`]). The per-lane search state machine
-//! ([`OffsetFsm`]) mirrors [`SaInstance::offset_voltage_with`]
-//! probe-for-probe, including the warm-window fallback's probe reuse.
+//! sequence equals the scalar engine's), and each lane drives the same
+//! search state machines as the scalar path (`OffsetFsm` for the offset
+//! binary search, `DelayFsm` for the weighted delay, both in
+//! [`crate::probe`]), so a lane probes exactly the points
+//! [`SaInstance::offset_voltage_with`] would.
 //!
 //! # Scalar fallback
 //!
@@ -47,7 +47,8 @@ use crate::montecarlo::{
 };
 use crate::netlist::SaInstance;
 use crate::probe::{
-    offset_drive_levels, regen_diff, DriveSpec, OffsetGrid, OffsetSearch, BLBAR_BRANCH, BL_BRANCH,
+    offset_drive_levels, regen_diff, DelayFsm, DriveSpec, OffsetFsm, OffsetSearch, OffsetStep,
+    BLBAR_BRANCH, BL_BRANCH,
 };
 use crate::stress::compile_workload;
 use issa_circuit::batch::{BatchRunner, LaneEvent};
@@ -161,7 +162,8 @@ struct LaneJob {
 
 enum Fsm {
     Offset(OffsetFsm),
-    Delay(DelayFsm),
+    /// The delay weighting and the corner's bitline swing \[V\].
+    Delay(DelayFsm, f64),
 }
 
 /// What a lane does after a probe completes.
@@ -190,8 +192,7 @@ impl LaneJob {
         let sa = build_sample(cfg, index);
         let (fsm, drive) = match phase {
             PhaseKind::Offset => {
-                let grid = OffsetGrid::from_opts(&cfg.probe);
-                let fsm = OffsetFsm::new(grid, &cfg.probe, search);
+                let fsm = OffsetFsm::new(&cfg.probe, search);
                 let drive =
                     DriveSpec::offset_probe(0.0, &cfg.env, cfg.probe.t_enable, cfg.probe.edge);
                 (Fsm::Offset(fsm), drive)
@@ -200,10 +201,10 @@ impl LaneJob {
                 swing,
                 zero_fraction,
             } => {
-                let fsm = DelayFsm::new(*zero_fraction, *swing);
+                let fsm = DelayFsm::new(*zero_fraction);
                 let drive =
                     DriveSpec::delay_probe(fsm.current_read(), *swing, &cfg.env, &cfg.probe);
-                (Fsm::Delay(fsm), drive)
+                (Fsm::Delay(fsm, *swing), drive)
             }
         };
         let net = sa.build_netlist(&drive);
@@ -230,17 +231,16 @@ impl LaneJob {
         let opts = &cfg.probe;
         let params: TranParams = match &self.fsm {
             Fsm::Offset(fsm) => {
-                let vin = fsm.grid.value(fsm.current_probe());
-                let (v_bl, v_blbar) = offset_drive_levels(vin, self.sa.env.vdd);
+                let (v_bl, v_blbar) = offset_drive_levels(fsm.current_vin(), self.sa.env.vdd);
                 self.net.set_vsource_waveform(BL_BRANCH, Waveform::dc(v_bl));
                 self.net
                     .set_vsource_waveform(BLBAR_BRANCH, Waveform::dc(v_blbar));
                 self.sa
                     .regen_params(v_bl, v_blbar, opts.t_enable, opts, 1.0)
             }
-            Fsm::Delay(fsm) => {
+            Fsm::Delay(fsm, swing) => {
                 let read_value = fsm.current_read();
-                let drive = DriveSpec::delay_probe(read_value, fsm.swing, &cfg.env, opts);
+                let drive = DriveSpec::delay_probe(read_value, *swing, &cfg.env, opts);
                 self.net.set_vsource_waveform(BL_BRANCH, drive.bl.clone());
                 self.net
                     .set_vsource_waveform(BLBAR_BRANCH, drive.blbar.clone());
@@ -266,14 +266,11 @@ impl LaneJob {
                 }
                 OffsetStep::OutOfRange => Advance::Scalar,
             },
-            Fsm::Delay(fsm) => {
+            Fsm::Delay(fsm, _) => {
                 let out_signal = self.sa.delay_out_signal(fsm.current_read());
                 match crate::probe::delay_from_trace(trace, out_signal, self.sa.env.vdd) {
                     Err(_) => Advance::Scalar,
-                    Ok(d) => match fsm.on_delay(d) {
-                        DelayStep::Continue => Advance::Next,
-                        DelayStep::Done(v) => Advance::Done(v),
-                    },
+                    Ok(d) => fsm.on_delay(d).map_or(Advance::Next, Advance::Done),
                 }
             }
         }
@@ -408,230 +405,6 @@ fn run_batch(
 
     done.sort_by_key(|&(i, _)| i);
     Some(done)
-}
-
-/// Outcome of one [`OffsetFsm`] decision.
-enum OffsetStep {
-    /// Probe [`OffsetFsm::current_probe`] next.
-    Continue,
-    /// Search finished: the measured offset and the flip cell's lower
-    /// index (the next warm-start center).
-    Done { result: f64, flip_lo: i64 },
-    /// No flip within ±vin_max — the scalar rerun reproduces the
-    /// [`SaError::OffsetOutOfRange`](crate::SaError) failure record.
-    OutOfRange,
-}
-
-/// The offset binary search as an explicit state machine, one probe per
-/// step — the lockstep twin of [`SaInstance::offset_voltage_with`]. Each
-/// state's probe index and each transition reproduces the scalar
-/// control flow exactly, including the warm-window fallback's reuse of
-/// already-probed endpoints (`wlo == 0` ⇒ `d0 = dl` without a probe,
-/// `whi == n` ⇒ `dn = dh`).
-struct OffsetFsm {
-    grid: OffsetGrid,
-    state: OffsetState,
-}
-
-/// Warm-window probes remembered for the fallback bracket choice.
-#[derive(Clone, Copy)]
-struct WarmWindow {
-    wlo: i64,
-    whi: i64,
-    dl: bool,
-}
-
-enum OffsetState {
-    /// Warm path: probing the window's low end `wlo`.
-    WarmLo { wlo: i64, whi: i64 },
-    /// Warm path: probing the window's high end `whi`.
-    WarmHi { wlo: i64, whi: i64, dl: bool },
-    /// Window missed: probing grid point 0 (only reached when `wlo > 0`).
-    FullLo { warm: WarmWindow, dh: bool },
-    /// Probing grid point `n`: the cold path's second probe
-    /// (`warm == None`) or the window fallback's (`warm == Some`, only
-    /// when `whi < n`).
-    FullHi { d0: bool, warm: Option<WarmWindow> },
-    /// Cold path: probing grid point 0.
-    ColdLo,
-    /// Bracket established: probing `mid = lo + (hi - lo) / 2`.
-    Bisect { lo: i64, hi: i64, d_lo: bool },
-}
-
-impl OffsetFsm {
-    fn new(grid: OffsetGrid, opts: &crate::probe::ProbeOptions, search: &OffsetSearch) -> Self {
-        let state = match search.center.filter(|_| opts.warm_start) {
-            Some(c) => {
-                let half_window = grid.half_window();
-                let c = c.clamp(0, grid.n - 1);
-                OffsetState::WarmLo {
-                    wlo: (c - half_window).max(0),
-                    whi: (c + 1 + half_window).min(grid.n),
-                }
-            }
-            None => OffsetState::ColdLo,
-        };
-        OffsetFsm { grid, state }
-    }
-
-    /// Grid index of the probe the current state is waiting on.
-    fn current_probe(&self) -> i64 {
-        match self.state {
-            OffsetState::WarmLo { wlo, .. } => wlo,
-            OffsetState::WarmHi { whi, .. } => whi,
-            OffsetState::FullLo { .. } | OffsetState::ColdLo => 0,
-            OffsetState::FullHi { .. } => self.grid.n,
-            OffsetState::Bisect { lo, hi, .. } => lo + (hi - lo) / 2,
-        }
-    }
-
-    /// Feeds the current probe's decision (`diff > 0`) into the search.
-    fn on_decision(&mut self, d: bool) -> OffsetStep {
-        match self.state {
-            OffsetState::WarmLo { wlo, whi } => {
-                self.state = OffsetState::WarmHi { wlo, whi, dl: d };
-                OffsetStep::Continue
-            }
-            OffsetState::WarmHi { wlo, whi, dl } => {
-                let dh = d;
-                let warm = WarmWindow { wlo, whi, dl };
-                if dl != dh {
-                    self.enter_bisect(wlo, whi, dl)
-                } else if wlo > 0 {
-                    self.state = OffsetState::FullLo { warm, dh };
-                    OffsetStep::Continue
-                } else if whi < self.grid.n {
-                    // wlo == 0: the window's low probe *is* d0.
-                    self.state = OffsetState::FullHi {
-                        d0: dl,
-                        warm: Some(warm),
-                    };
-                    OffsetStep::Continue
-                } else {
-                    // Window spans the whole grid: both endpoints known.
-                    self.resolve_fallback(warm, dl, dh)
-                }
-            }
-            OffsetState::FullLo { warm, dh } => {
-                let d0 = d;
-                if warm.whi < self.grid.n {
-                    self.state = OffsetState::FullHi {
-                        d0,
-                        warm: Some(warm),
-                    };
-                    OffsetStep::Continue
-                } else {
-                    // whi == n: the window's high probe *is* dn.
-                    self.resolve_fallback(warm, d0, dh)
-                }
-            }
-            OffsetState::FullHi { d0, warm } => {
-                let dn = d;
-                match warm {
-                    Some(w) => self.resolve_fallback(w, d0, dn),
-                    None if d0 == dn => OffsetStep::OutOfRange,
-                    None => self.enter_bisect(0, self.grid.n, d0),
-                }
-            }
-            OffsetState::ColdLo => {
-                self.state = OffsetState::FullHi { d0: d, warm: None };
-                OffsetStep::Continue
-            }
-            OffsetState::Bisect { lo, hi, d_lo } => {
-                let mid = lo + (hi - lo) / 2;
-                let (lo, hi) = if d == d_lo { (mid, hi) } else { (lo, mid) };
-                self.enter_bisect(lo, hi, d_lo)
-            }
-        }
-    }
-
-    /// The scalar warm-window fallback: full-bracket endpoints `d0`/`dn`
-    /// known, pick the side of the window the flip must be on.
-    fn resolve_fallback(&mut self, w: WarmWindow, d0: bool, dn: bool) -> OffsetStep {
-        if d0 == dn {
-            OffsetStep::OutOfRange
-        } else if w.dl == d0 {
-            self.enter_bisect(w.whi, self.grid.n, w.dl)
-        } else {
-            self.enter_bisect(0, w.wlo, d0)
-        }
-    }
-
-    /// Continues bisection of `[lo, hi]` (`d(lo) == d_lo != d(hi)`), or
-    /// finishes when the bracket is one cell wide — the scalar loop's
-    /// `while hi - lo > 1` condition.
-    fn enter_bisect(&mut self, lo: i64, hi: i64, d_lo: bool) -> OffsetStep {
-        if hi - lo > 1 {
-            self.state = OffsetState::Bisect { lo, hi, d_lo };
-            OffsetStep::Continue
-        } else {
-            OffsetStep::Done {
-                result: self.grid.offset(lo, hi),
-                flip_lo: lo,
-            }
-        }
-    }
-}
-
-/// Outcome of one [`DelayFsm`] probe.
-enum DelayStep {
-    Continue,
-    Done(f64),
-}
-
-/// The workload-weighted delay measurement as a state machine — the
-/// lockstep twin of [`SaInstance::sensing_delay_weighted`]: read-0 probe
-/// (skipped when `zero_fraction == 0`), read-1 probe (skipped when
-/// `zero_fraction == 1`), then the identical weighted sum, with `0.0`
-/// standing in for a skipped direction exactly like the scalar path.
-struct DelayFsm {
-    zero_fraction: f64,
-    swing: f64,
-    state: DelayState,
-}
-
-enum DelayState {
-    /// Waiting on the read-0 probe.
-    ReadZero,
-    /// Waiting on the read-1 probe; `d0` is the read-0 delay (0.0 when
-    /// that direction was skipped).
-    ReadOne { d0: f64 },
-}
-
-impl DelayFsm {
-    fn new(zero_fraction: f64, swing: f64) -> Self {
-        let state = if zero_fraction > 0.0 {
-            DelayState::ReadZero
-        } else {
-            DelayState::ReadOne { d0: 0.0 }
-        };
-        DelayFsm {
-            zero_fraction,
-            swing,
-            state,
-        }
-    }
-
-    /// The read direction of the probe the current state is waiting on.
-    fn current_read(&self) -> bool {
-        matches!(self.state, DelayState::ReadOne { .. })
-    }
-
-    /// Feeds the current probe's measured delay into the weighting.
-    fn on_delay(&mut self, d: f64) -> DelayStep {
-        let zf = self.zero_fraction;
-        match self.state {
-            DelayState::ReadZero => {
-                if zf < 1.0 {
-                    self.state = DelayState::ReadOne { d0: d };
-                    DelayStep::Continue
-                } else {
-                    DelayStep::Done(zf * d + (1.0 - zf) * 0.0)
-                }
-            }
-            DelayState::ReadOne { d0 } => DelayStep::Done(zf * d0 + (1.0 - zf) * d),
-        }
-    }
 }
 
 #[cfg(test)]

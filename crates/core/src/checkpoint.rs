@@ -37,17 +37,17 @@
 //!
 //! # Atomicity
 //!
-//! [`Checkpoint::save`] writes to a sibling temp file, `fsync`s it, and
-//! renames it over the target — a crash mid-write leaves either the old
-//! complete checkpoint or the new complete checkpoint, never a torn one.
+//! [`Checkpoint::save`] publishes through [`crate::durable::write_atomic`]
+//! (sibling temp file, `fsync`, rename, directory `fsync`) — a crash
+//! mid-write leaves either the old complete checkpoint or the new
+//! complete checkpoint, never a torn one.
 
+use crate::durable::{write_atomic, Fnv64};
 use crate::montecarlo::{FailureKind, McConfig, McPhase, McResume, SampleFailure};
 use std::fmt;
-use std::io::Write;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::path::Path;
+
+pub use crate::durable::{crc32, sweep_stale_temps, IoFault, IoFaultKind, IoFaultPlan, SavePolicy};
 
 /// Magic first line of every checkpoint file (name + format version).
 const MAGIC: &str = "ISSA-CKPT 1";
@@ -107,175 +107,6 @@ impl std::error::Error for CheckpointError {}
 impl From<std::io::Error> for CheckpointError {
     fn from(e: std::io::Error) -> Self {
         CheckpointError::Io(e.to_string())
-    }
-}
-
-/// The filesystem operation an [`IoFault`] breaks.
-///
-/// Each kind maps onto one stage of the atomic save sequence
-/// (`create`+`write` → `fsync` → `rename`), so a fault plan can break a
-/// save at any stage and tests can prove the previous checkpoint survives
-/// every one of them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IoFaultKind {
-    /// The data write fails outright (an I/O error from `write`).
-    WriteError,
-    /// Only part of the payload lands before the device reports it is
-    /// full — the ENOSPC shape: a torn temp file exists on disk.
-    ShortWrite,
-    /// The durability barrier (`fsync`) fails.
-    FsyncError,
-    /// The atomic publish (`rename` over the target) fails.
-    RenameError,
-}
-
-impl fmt::Display for IoFaultKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
-            IoFaultKind::WriteError => "write",
-            IoFaultKind::ShortWrite => "short-write",
-            IoFaultKind::FsyncError => "fsync",
-            IoFaultKind::RenameError => "rename",
-        };
-        write!(f, "{name}")
-    }
-}
-
-/// One scripted checkpoint I/O fault: `kind` fires on save attempt number
-/// `at` (0-based, counted across every [`Checkpoint::save_with`] retry
-/// sharing the plan). A transient fault fires exactly once; a
-/// `persistent` fault fires on attempt `at` and every attempt after it,
-/// which is how tests model a disk that never comes back.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IoFault {
-    /// 0-based global save-attempt number the fault first fires on.
-    pub at: u64,
-    /// Which stage of the save breaks.
-    pub kind: IoFaultKind,
-    /// `false`: fires once then heals. `true`: fires forever from `at`.
-    pub persistent: bool,
-}
-
-#[derive(Debug, Default)]
-struct IoPlanInner {
-    /// Global save-attempt counter, shared by every clone of the plan.
-    attempts: AtomicU64,
-    faults: Vec<IoFault>,
-}
-
-/// A deterministic checkpoint I/O fault plan, mirroring the dist layer's
-/// wire-fault plan: faults are keyed by a global save-attempt sequence
-/// number, the counter is shared across clones (the plan is an `Arc`
-/// inside), and a transient fault fires exactly once no matter how many
-/// sinks or retries share the plan. Default-off: no plan, no behaviour
-/// change.
-#[derive(Debug, Clone, Default)]
-pub struct IoFaultPlan {
-    inner: Arc<IoPlanInner>,
-}
-
-impl IoFaultPlan {
-    /// Builds a plan from scripted faults.
-    #[must_use]
-    pub fn new(faults: Vec<IoFault>) -> Self {
-        IoFaultPlan {
-            inner: Arc::new(IoPlanInner {
-                attempts: AtomicU64::new(0),
-                faults,
-            }),
-        }
-    }
-
-    /// Convenience: transient faults, each firing once at its attempt.
-    #[must_use]
-    pub fn transient(faults: &[(u64, IoFaultKind)]) -> Self {
-        Self::new(
-            faults
-                .iter()
-                .map(|&(at, kind)| IoFault {
-                    at,
-                    kind,
-                    persistent: false,
-                })
-                .collect(),
-        )
-    }
-
-    /// Convenience: one fault firing on every attempt from `at` onwards —
-    /// the disk never recovers.
-    #[must_use]
-    pub fn persistent_from(at: u64, kind: IoFaultKind) -> Self {
-        Self::new(vec![IoFault {
-            at,
-            kind,
-            persistent: true,
-        }])
-    }
-
-    /// Advances the shared attempt counter and returns the fault (if any)
-    /// scripted for this attempt. Public so chaos harnesses can dry-run
-    /// a schedule; each call consumes one attempt slot.
-    pub fn next(&self) -> Option<IoFaultKind> {
-        let n = self.inner.attempts.fetch_add(1, Ordering::SeqCst);
-        self.inner
-            .faults
-            .iter()
-            .find(|f| if f.persistent { n >= f.at } else { n == f.at })
-            .map(|f| f.kind)
-    }
-
-    /// Save attempts consumed so far (test observability).
-    #[must_use]
-    pub fn attempts(&self) -> u64 {
-        self.inner.attempts.load(Ordering::SeqCst)
-    }
-}
-
-/// Retry policy for [`Checkpoint::save_with`]: how many attempts a single
-/// logical save is worth, how long to back off between them, and an
-/// optional [`IoFaultPlan`] for tests and chaos drivers.
-///
-/// The default (3 attempts, 10 ms initial backoff, no faults) is what
-/// plain [`Checkpoint::save`] uses: a transient hiccup — NFS blip,
-/// momentary ENOSPC — is retried with doubling backoff; a disk that stays
-/// broken surfaces as an error after the last attempt so the caller can
-/// degrade instead of aborting.
-#[derive(Debug, Clone, Default)]
-pub struct SavePolicy {
-    /// Total attempts (0 is treated as 1).
-    pub attempts: u32,
-    /// Sleep before retry `k` is `backoff * 2^(k-1)`.
-    pub backoff: Duration,
-    /// Scripted faults injected into each attempt (default: none).
-    pub faults: Option<IoFaultPlan>,
-}
-
-impl SavePolicy {
-    /// The production default: 3 attempts, 10 ms initial backoff.
-    #[must_use]
-    pub fn standard() -> Self {
-        SavePolicy {
-            attempts: 3,
-            backoff: Duration::from_millis(10),
-            faults: None,
-        }
-    }
-
-    /// A single attempt, no retries — the pre-retry behaviour.
-    #[must_use]
-    pub fn single() -> Self {
-        SavePolicy {
-            attempts: 1,
-            backoff: Duration::ZERO,
-            faults: None,
-        }
-    }
-
-    /// Replaces the fault plan.
-    #[must_use]
-    pub fn with_faults(mut self, faults: IoFaultPlan) -> Self {
-        self.faults = Some(faults);
-        self
     }
 }
 
@@ -344,10 +175,9 @@ impl Checkpoint {
         s.into_bytes()
     }
 
-    /// Atomically writes the checkpoint to `path`: the bytes land in a
-    /// sibling `.tmp` file, are `fsync`ed, and renamed over the target.
-    /// Transient failures are retried with backoff under
-    /// [`SavePolicy::standard`].
+    /// Atomically writes the checkpoint to `path` through
+    /// [`crate::durable::write_atomic`]. Transient failures are retried
+    /// with backoff under [`SavePolicy::standard`].
     ///
     /// # Errors
     ///
@@ -361,36 +191,12 @@ impl Checkpoint {
     /// [`Checkpoint::save`] under an explicit retry policy and optional
     /// injected I/O faults.
     ///
-    /// Every attempt runs the full atomic sequence (create temp → write →
-    /// fsync → rename); a failed attempt removes its temp file so retries
-    /// and later saves start clean, and the published target is only ever
-    /// replaced by a complete, synced file.
-    ///
     /// # Errors
     ///
     /// The last attempt's [`CheckpointError::Io`] after
     /// `policy.attempts` failures.
     pub fn save_with(&self, path: &Path, policy: &SavePolicy) -> Result<(), CheckpointError> {
-        let bytes = self.to_bytes();
-        let attempts = policy.attempts.max(1);
-        let mut backoff = policy.backoff;
-        let mut last = None;
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                if !backoff.is_zero() {
-                    std::thread::sleep(backoff);
-                }
-                backoff = backoff.saturating_mul(2);
-            }
-            let fault = policy.faults.as_ref().and_then(IoFaultPlan::next);
-            match save_attempt(path, &bytes, fault) {
-                Ok(()) => return Ok(()),
-                Err(e) => last = Some(e),
-            }
-        }
-        Err(last
-            .map(CheckpointError::from)
-            .unwrap_or_else(|| CheckpointError::Io("no save attempt ran".into())))
+        Ok(write_atomic(path, &self.to_bytes(), policy)?)
     }
 
     /// Parses the on-disk format, validating the magic line and CRC.
@@ -517,54 +323,6 @@ impl Checkpoint {
         let bytes = std::fs::read(path)?;
         Self::from_bytes(&bytes)
     }
-}
-
-/// One pass through the atomic save sequence, with at most one injected
-/// fault. On any failure the temp file is removed so the directory holds
-/// only the previous published checkpoint (never a torn sibling).
-fn save_attempt(path: &Path, bytes: &[u8], fault: Option<IoFaultKind>) -> std::io::Result<()> {
-    let tmp = path.with_extension("ckpt.tmp");
-    let injected = |stage: IoFaultKind, errno: std::io::ErrorKind| {
-        std::io::Error::new(errno, format!("injected checkpoint {stage} fault"))
-    };
-    let result = (|| {
-        let mut f = std::fs::File::create(&tmp)?;
-        match fault {
-            Some(IoFaultKind::WriteError) => {
-                return Err(injected(IoFaultKind::WriteError, std::io::ErrorKind::Other))
-            }
-            Some(IoFaultKind::ShortWrite) => {
-                // Model ENOSPC: half the payload lands, then the device
-                // reports full. The torn bytes are real — on disk, in the
-                // temp file — which is exactly what the cleanup below and
-                // the never-clobber tests are about.
-                f.write_all(&bytes[..bytes.len() / 2])?;
-                f.sync_all()?;
-                return Err(injected(
-                    IoFaultKind::ShortWrite,
-                    std::io::ErrorKind::StorageFull,
-                ));
-            }
-            _ => f.write_all(bytes)?,
-        }
-        if fault == Some(IoFaultKind::FsyncError) {
-            return Err(injected(IoFaultKind::FsyncError, std::io::ErrorKind::Other));
-        }
-        f.sync_all()?;
-        drop(f);
-        if fault == Some(IoFaultKind::RenameError) {
-            return Err(injected(
-                IoFaultKind::RenameError,
-                std::io::ErrorKind::Other,
-            ));
-        }
-        std::fs::rename(&tmp, path)?;
-        Ok(())
-    })();
-    if result.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    result
 }
 
 fn parse_hex_u64(field: Option<&str>) -> Option<u64> {
@@ -702,72 +460,10 @@ pub fn config_fingerprint(name: &str, cfg: &McConfig) -> u64 {
         batch_lanes: 0,
         ..cfg.clone()
     };
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name
-        .as_bytes()
-        .iter()
-        .chain(format!("{normalized:?}").as_bytes())
-    {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Removes stale atomic-write temporaries (`*.ckpt.tmp`, `*.jrnl.tmp`)
-/// stranded in `dir` by a crash that landed between temp-write and
-/// rename. Call once at startup, *before* any writer targets the
-/// directory — a sweep racing a live [`Checkpoint::save`] could delete
-/// its in-flight temp and burn a retry. Missing or unreadable
-/// directories sweep nothing. Returns the paths removed, sorted, so
-/// callers can log exactly what was reclaimed.
-#[must_use]
-pub fn sweep_stale_temps(dir: &Path) -> Vec<PathBuf> {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return Vec::new();
-    };
-    let mut removed = Vec::new();
-    for entry in entries.flatten() {
-        let path = entry.path();
-        let stale = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .is_some_and(|n| n.ends_with(".ckpt.tmp") || n.ends_with(".jrnl.tmp"));
-        if stale && path.is_file() && std::fs::remove_file(&path).is_ok() {
-            removed.push(path);
-        }
-    }
-    removed.sort();
-    removed
-}
-
-/// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`).
-#[must_use]
-pub fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = {
-        let mut table = [0u32; 256];
-        let mut n = 0;
-        while n < 256 {
-            let mut c = n as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-                k += 1;
-            }
-            table[n] = c;
-            n += 1;
-        }
-        table
-    };
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc = TABLE[((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    !crc
+    let mut h = Fnv64::default();
+    h.update(name.as_bytes());
+    h.update(format!("{normalized:?}").as_bytes());
+    h.finish()
 }
 
 #[cfg(test)]
@@ -901,13 +597,6 @@ mod tests {
     }
 
     #[test]
-    fn crc32_matches_the_reference_vector() {
-        // The canonical IEEE test vector.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
     fn fingerprint_ignores_threads_but_not_physics() {
         let base = McConfig::smoke(
             crate::netlist::SaKind::Nssa,
@@ -947,32 +636,5 @@ mod tests {
         let loaded = Checkpoint::load(&path).unwrap();
         std::fs::remove_file(&path).unwrap();
         assert_eq!(loaded, b);
-    }
-
-    #[test]
-    fn sweep_removes_only_stale_temps() {
-        let dir = std::env::temp_dir().join(format!("issa-sweep-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let stale_ckpt = dir.join("campaign.ckpt.tmp");
-        let stale_jrnl = dir.join("service.jrnl.tmp");
-        let keep_ckpt = dir.join("campaign.ckpt");
-        let keep_other = dir.join("notes.tmp.txt");
-        for p in [&stale_ckpt, &stale_jrnl, &keep_ckpt, &keep_other] {
-            std::fs::write(p, b"x").unwrap();
-        }
-        let mut removed = sweep_stale_temps(&dir);
-        removed.sort();
-        assert_eq!(removed, {
-            let mut want = vec![stale_ckpt.clone(), stale_jrnl.clone()];
-            want.sort();
-            want
-        });
-        assert!(!stale_ckpt.exists() && !stale_jrnl.exists());
-        assert!(keep_ckpt.exists() && keep_other.exists());
-        assert!(
-            sweep_stale_temps(&dir).is_empty(),
-            "second sweep is a no-op"
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

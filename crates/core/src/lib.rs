@@ -56,6 +56,7 @@ pub mod batch;
 pub mod calib;
 pub mod campaign;
 pub mod checkpoint;
+pub mod durable;
 pub mod lifetime;
 pub mod metastability;
 pub mod montecarlo;
@@ -70,6 +71,9 @@ pub mod tail;
 pub mod variation;
 pub mod workload;
 
+/// The workspace's one SplitMix64 mixer (defined in `rand`), for crates
+/// that depend on `issa-core` alone.
+pub use issa_num::rng::splitmix64;
 pub use netlist::{SaDevice, SaInstance, SaKind, SaSizing};
 pub use probe::{OffsetSearch, ProbeOptions, SenseOutcome};
 pub use workload::{ReadSequence, Workload};

@@ -240,13 +240,11 @@ pub(crate) fn delay_from_trace(trace: &Trace, out_signal: &str, vdd: f64) -> Res
 
 /// The fixed dyadic offset-search grid over `[−vin_max, +vin_max]` (see
 /// [`OffsetSearch`]): `n` cells, `n` the smallest power of two whose cell
-/// width does not exceed `offset_tol`. One construction shared by the
-/// scalar binary search and the batched lane scheduler, so the probed
-/// grid points cannot drift between the two paths.
+/// width does not exceed `offset_tol`. [`OffsetFsm`] searches it.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct OffsetGrid {
+struct OffsetGrid {
     /// Number of grid cells.
-    pub(crate) n: i64,
+    n: i64,
     vin_max: f64,
     step: f64,
 }
@@ -257,7 +255,7 @@ impl OffsetGrid {
     /// # Panics
     ///
     /// Panics if `opts.offset_tol` or `opts.vin_max` is not positive.
-    pub(crate) fn from_opts(opts: &ProbeOptions) -> Self {
+    fn from_opts(opts: &ProbeOptions) -> Self {
         assert!(opts.offset_tol > 0.0, "offset_tol must be positive");
         assert!(opts.vin_max > 0.0, "vin_max must be positive");
         let mut n: i64 = 1;
@@ -272,19 +270,19 @@ impl OffsetGrid {
     }
 
     /// Input differential of grid point `i`.
-    pub(crate) fn value(self, i: i64) -> f64 {
+    fn value(self, i: i64) -> f64 {
         -self.vin_max + i as f64 * self.step
     }
 
     /// Warm-window half-width around the previous flip cell: ±(n/16)
     /// cells, at least one.
-    pub(crate) fn half_window(self) -> i64 {
+    fn half_window(self) -> i64 {
         (self.n / 16).max(1)
     }
 
     /// Measured offset once the search has narrowed to `[lo, hi]`:
     /// the flip point of `vin`, positive = biased toward One.
-    pub(crate) fn offset(self, lo: i64, hi: i64) -> f64 {
+    fn offset(self, lo: i64, hi: i64) -> f64 {
         -0.5 * (self.value(lo) + self.value(hi))
     }
 }
@@ -324,6 +322,233 @@ pub struct OffsetSearch {
     /// (crate-visible so the batched scheduler's per-lane carriers update
     /// it exactly like the scalar search does).
     pub(crate) center: Option<i64>,
+}
+
+/// Outcome of one [`OffsetFsm`] decision.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum OffsetStep {
+    /// Probe [`OffsetFsm::current_probe`] next.
+    Continue,
+    /// Search finished: the measured offset and the flip cell's lower
+    /// index (the next warm-start center).
+    Done { result: f64, flip_lo: i64 },
+    /// No flip within ±vin_max ([`SaError::OffsetOutOfRange`]).
+    OutOfRange,
+}
+
+/// The offset binary search as an explicit state machine, one probe per
+/// step. It is the only implementation of the search: the scalar
+/// [`SaInstance::offset_voltage_with`] and the batched lane scheduler
+/// ([`crate::batch`]) both drive it the same way — probe
+/// [`OffsetFsm::current_vin`], feed the decision (`diff > 0`) to
+/// [`OffsetFsm::on_decision`], repeat until it is not
+/// [`OffsetStep::Continue`].
+///
+/// Probe order: a cold search probes grid points `0` and `n`, then
+/// bisects. A warm search (see [`OffsetSearch`]) first probes a
+/// ±(n/16)-cell window `[wlo, whi]` around the previous flip cell — for
+/// a Monte Carlo population that window (~12 % of the full bracket)
+/// almost always contains the next flip, cutting the bisection by
+/// several probes. When the window misses, the search falls back to the
+/// full bracket, reusing a window probe that already sits on an endpoint
+/// (`wlo == 0` gives `d(0)`, `whi == n` gives `d(n)`), and bisects the
+/// side of the window the flip must be on.
+pub(crate) struct OffsetFsm {
+    grid: OffsetGrid,
+    state: OffsetState,
+}
+
+/// Warm-window probes remembered for the fallback bracket choice.
+#[derive(Clone, Copy)]
+struct WarmWindow {
+    wlo: i64,
+    whi: i64,
+    dl: bool,
+}
+
+enum OffsetState {
+    /// Warm path: probing the window's low end `wlo`.
+    WarmLo { wlo: i64, whi: i64 },
+    /// Warm path: probing the window's high end `whi`.
+    WarmHi { wlo: i64, whi: i64, dl: bool },
+    /// Window missed: probing grid point 0 (only reached when `wlo > 0`).
+    FullLo { warm: WarmWindow, dh: bool },
+    /// Probing grid point `n`: the cold path's second probe
+    /// (`warm == None`) or the window fallback's (`warm == Some`, only
+    /// when `whi < n`).
+    FullHi { d0: bool, warm: Option<WarmWindow> },
+    /// Cold path: probing grid point 0.
+    ColdLo,
+    /// Bracket established: probing `mid = lo + (hi - lo) / 2`.
+    Bisect { lo: i64, hi: i64, d_lo: bool },
+}
+
+impl OffsetFsm {
+    /// Starts a search on the grid of `opts`, warm from `search` when
+    /// `opts.warm_start` is set and a previous flip cell is known.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `opts.offset_tol` or `opts.vin_max` is not positive.
+    pub(crate) fn new(opts: &ProbeOptions, search: &OffsetSearch) -> Self {
+        let grid = OffsetGrid::from_opts(opts);
+        let state = match search.center.filter(|_| opts.warm_start) {
+            Some(c) => {
+                let half_window = grid.half_window();
+                let c = c.clamp(0, grid.n - 1);
+                OffsetState::WarmLo {
+                    wlo: (c - half_window).max(0),
+                    whi: (c + 1 + half_window).min(grid.n),
+                }
+            }
+            None => OffsetState::ColdLo,
+        };
+        OffsetFsm { grid, state }
+    }
+
+    /// Grid index of the probe the current state is waiting on.
+    pub(crate) fn current_probe(&self) -> i64 {
+        match self.state {
+            OffsetState::WarmLo { wlo, .. } => wlo,
+            OffsetState::WarmHi { whi, .. } => whi,
+            OffsetState::FullLo { .. } | OffsetState::ColdLo => 0,
+            OffsetState::FullHi { .. } => self.grid.n,
+            OffsetState::Bisect { lo, hi, .. } => lo + (hi - lo) / 2,
+        }
+    }
+
+    /// Input differential of the probe the current state is waiting on.
+    pub(crate) fn current_vin(&self) -> f64 {
+        self.grid.value(self.current_probe())
+    }
+
+    /// Feeds the current probe's decision (`diff > 0`) into the search.
+    pub(crate) fn on_decision(&mut self, d: bool) -> OffsetStep {
+        match self.state {
+            OffsetState::WarmLo { wlo, whi } => {
+                self.state = OffsetState::WarmHi { wlo, whi, dl: d };
+                OffsetStep::Continue
+            }
+            OffsetState::WarmHi { wlo, whi, dl } => {
+                let dh = d;
+                let warm = WarmWindow { wlo, whi, dl };
+                if dl != dh {
+                    self.enter_bisect(wlo, whi, dl)
+                } else if wlo > 0 {
+                    self.state = OffsetState::FullLo { warm, dh };
+                    OffsetStep::Continue
+                } else if whi < self.grid.n {
+                    // wlo == 0: the window's low probe *is* d0.
+                    self.state = OffsetState::FullHi {
+                        d0: dl,
+                        warm: Some(warm),
+                    };
+                    OffsetStep::Continue
+                } else {
+                    // Window spans the whole grid: both endpoints known.
+                    self.resolve_fallback(warm, dl, dh)
+                }
+            }
+            OffsetState::FullLo { warm, dh } => {
+                let d0 = d;
+                if warm.whi < self.grid.n {
+                    self.state = OffsetState::FullHi {
+                        d0,
+                        warm: Some(warm),
+                    };
+                    OffsetStep::Continue
+                } else {
+                    // whi == n: the window's high probe *is* dn.
+                    self.resolve_fallback(warm, d0, dh)
+                }
+            }
+            OffsetState::FullHi { d0, warm } => {
+                let dn = d;
+                match warm {
+                    Some(w) => self.resolve_fallback(w, d0, dn),
+                    None if d0 == dn => OffsetStep::OutOfRange,
+                    None => self.enter_bisect(0, self.grid.n, d0),
+                }
+            }
+            OffsetState::ColdLo => {
+                self.state = OffsetState::FullHi { d0: d, warm: None };
+                OffsetStep::Continue
+            }
+            OffsetState::Bisect { lo, hi, d_lo } => {
+                let mid = lo + (hi - lo) / 2;
+                let (lo, hi) = if d == d_lo { (mid, hi) } else { (lo, mid) };
+                self.enter_bisect(lo, hi, d_lo)
+            }
+        }
+    }
+
+    /// The warm-window fallback: full-bracket endpoints `d0`/`dn` known,
+    /// pick the side of the window the flip must be on.
+    fn resolve_fallback(&mut self, w: WarmWindow, d0: bool, dn: bool) -> OffsetStep {
+        if d0 == dn {
+            OffsetStep::OutOfRange
+        } else if w.dl == d0 {
+            self.enter_bisect(w.whi, self.grid.n, w.dl)
+        } else {
+            self.enter_bisect(0, w.wlo, d0)
+        }
+    }
+
+    /// Continues bisection of `[lo, hi]` (`d(lo) == d_lo != d(hi)`), or
+    /// finishes when the bracket is one cell wide.
+    fn enter_bisect(&mut self, lo: i64, hi: i64, d_lo: bool) -> OffsetStep {
+        if hi - lo > 1 {
+            self.state = OffsetState::Bisect { lo, hi, d_lo };
+            OffsetStep::Continue
+        } else {
+            OffsetStep::Done {
+                result: self.grid.offset(lo, hi),
+                flip_lo: lo,
+            }
+        }
+    }
+}
+
+/// The workload-weighted delay measurement as a state machine, shared by
+/// [`SaInstance::sensing_delay_weighted`] and the batched lane scheduler:
+/// read-0 probe (skipped when `zero_fraction == 0`), read-1 probe
+/// (skipped when `zero_fraction == 1`), then
+/// `zero_fraction · d0 + (1 − zero_fraction) · d1`, with `0.0` standing
+/// in for a skipped direction.
+pub(crate) struct DelayFsm {
+    zero_fraction: f64,
+    /// The read-0 delay once measured (0.0 when that direction is
+    /// skipped); `None` while the read-0 probe is pending.
+    d0: Option<f64>,
+}
+
+impl DelayFsm {
+    pub(crate) fn new(zero_fraction: f64) -> Self {
+        DelayFsm {
+            zero_fraction,
+            d0: (zero_fraction <= 0.0).then_some(0.0),
+        }
+    }
+
+    /// The read direction of the probe the machine is waiting on.
+    pub(crate) fn current_read(&self) -> bool {
+        self.d0.is_some()
+    }
+
+    /// Feeds the current probe's measured delay into the weighting:
+    /// `Some(weighted delay)` once the measurement is complete, `None`
+    /// when the read-1 probe is still to run.
+    pub(crate) fn on_delay(&mut self, d: f64) -> Option<f64> {
+        let zf = self.zero_fraction;
+        match self.d0 {
+            None if zf < 1.0 => {
+                self.d0 = Some(d);
+                None
+            }
+            None => Some(zf * d + (1.0 - zf) * 0.0),
+            Some(d0) => Some(zf * d0 + (1.0 - zf) * d),
+        }
+    }
 }
 
 impl SaInstance {
@@ -454,73 +679,25 @@ impl SaInstance {
     ) -> Result<f64, SaError> {
         let drive = DriveSpec::offset_probe(0.0, &self.env, opts.t_enable, opts.edge);
         let mut ctx = ProbeContext::new(self, &drive);
-
-        // Fixed dyadic search grid: n cells over [−vin_max, +vin_max],
-        // n the smallest power of two with cell width ≤ offset_tol.
-        let grid = OffsetGrid::from_opts(opts);
-        let n = grid.n;
-        // Decision at grid point i; near the metastable point resolution
-        // is slow, so classify by the sign of the differential.
-        let decide = |i: i64, ctx: &mut ProbeContext| -> Result<bool, SaError> {
-            let (v_bl, v_blbar) = offset_drive_levels(grid.value(i), self.env.vdd);
-            Ok(self.regenerate(ctx, v_bl, v_blbar, opts.t_enable, opts, 1.0)? > 0.0)
-        };
-
-        // Establish a bracket [lo, hi] with d(lo) == d_lo != d(hi). The
-        // warm path first tries a ±(n/16)-cell window around the previous
-        // flip cell — for a Monte Carlo population that window (~12 % of
-        // the full bracket) almost always contains the next flip, cutting
-        // the bisection by several probes.
-        let mut bracket: Option<(i64, i64, bool)> = None;
-        if opts.warm_start {
-            if let Some(c) = search.center {
-                let half_window = grid.half_window();
-                let c = c.clamp(0, n - 1);
-                let wlo = (c - half_window).max(0);
-                let whi = (c + 1 + half_window).min(n);
-                let dl = decide(wlo, &mut ctx)?;
-                let dh = decide(whi, &mut ctx)?;
-                if dl != dh {
-                    bracket = Some((wlo, whi, dl));
-                } else {
-                    // Window missed the flip: fall back to the full
-                    // bracket, reusing the window probes to pick the side.
-                    let d0 = if wlo == 0 { dl } else { decide(0, &mut ctx)? };
-                    let dn = if whi == n { dh } else { decide(n, &mut ctx)? };
-                    if d0 == dn {
-                        return Err(SaError::OffsetOutOfRange {
-                            vin_max: opts.vin_max,
-                        });
-                    }
-                    bracket = Some(if dl == d0 { (whi, n, dl) } else { (0, wlo, d0) });
+        let mut fsm = OffsetFsm::new(opts, search);
+        loop {
+            // Near the metastable point resolution is slow, so classify
+            // by the sign of the differential.
+            let (v_bl, v_blbar) = offset_drive_levels(fsm.current_vin(), self.env.vdd);
+            let diff = self.regenerate(&mut ctx, v_bl, v_blbar, opts.t_enable, opts, 1.0)?;
+            match fsm.on_decision(diff > 0.0) {
+                OffsetStep::Continue => {}
+                OffsetStep::Done { result, flip_lo } => {
+                    search.center = Some(flip_lo);
+                    return Ok(result);
                 }
-            }
-        }
-        let (mut lo, mut hi, d_lo) = match bracket {
-            Some(b) => b,
-            None => {
-                let d0 = decide(0, &mut ctx)?;
-                let dn = decide(n, &mut ctx)?;
-                if d0 == dn {
+                OffsetStep::OutOfRange => {
                     return Err(SaError::OffsetOutOfRange {
                         vin_max: opts.vin_max,
-                    });
+                    })
                 }
-                (0, n, d0)
-            }
-        };
-
-        while hi - lo > 1 {
-            let mid = lo + (hi - lo) / 2;
-            if decide(mid, &mut ctx)? == d_lo {
-                lo = mid;
-            } else {
-                hi = mid;
             }
         }
-        search.center = Some(lo);
-        // Flip point of vin; positive offset = biased toward One.
-        Ok(grid.offset(lo, hi))
     }
 
     /// Measures the sensing delay for a read of `read_value` \[s\]: from
@@ -653,17 +830,13 @@ impl SaInstance {
             (0.0..=1.0).contains(&zero_fraction),
             "zero fraction must be in [0,1]"
         );
-        let d0 = if zero_fraction > 0.0 {
-            self.sensing_delay(false, opts)?
-        } else {
-            0.0
-        };
-        let d1 = if zero_fraction < 1.0 {
-            self.sensing_delay(true, opts)?
-        } else {
-            0.0
-        };
-        Ok(zero_fraction * d0 + (1.0 - zero_fraction) * d1)
+        let mut fsm = DelayFsm::new(zero_fraction);
+        loop {
+            let d = self.sensing_delay(fsm.current_read(), opts)?;
+            if let Some(weighted) = fsm.on_delay(d) {
+                return Ok(weighted);
+            }
+        }
     }
 }
 
@@ -786,6 +959,118 @@ mod tests {
             d_i < d_n * 1.25,
             "ISSA overhead too large: {d_n:e} -> {d_i:e}"
         );
+    }
+
+    /// Drives `fsm` against the decision function `d` (no solver):
+    /// returns the final step and every grid point probed, in order.
+    fn drive(mut fsm: OffsetFsm, d: impl Fn(i64) -> bool) -> (OffsetStep, Vec<i64>) {
+        let mut probes = Vec::new();
+        loop {
+            probes.push(fsm.current_probe());
+            let step = fsm.on_decision(d(fsm.current_probe()));
+            if step != OffsetStep::Continue {
+                return (step, probes);
+            }
+        }
+    }
+
+    /// Bisection probes that narrow `[lo, hi]` to the flip cell `k`.
+    fn bisect_probes(lo: i64, hi: i64, k: i64) -> usize {
+        if hi - lo == 1 {
+            return 0;
+        }
+        let mid = lo + (hi - lo) / 2;
+        1 + if k < mid {
+            bisect_probes(lo, mid, k)
+        } else {
+            bisect_probes(mid, hi, k)
+        }
+    }
+
+    #[test]
+    fn offset_fsm_exhaustive_table_on_a_16_cell_grid() {
+        let base = ProbeOptions {
+            vin_max: 0.3,
+            offset_tol: 0.05,
+            ..ProbeOptions::default()
+        };
+        let grid = OffsetGrid::from_opts(&base);
+        let (n, hw) = (grid.n, grid.half_window());
+        assert_eq!((n, hw), (16, 1));
+        for warm_start in [true, false] {
+            let opts = ProbeOptions { warm_start, ..base };
+            // No center, every center on the grid, and out-of-grid
+            // centers that must clamp.
+            for center in std::iter::once(None).chain((-2..n + 2).map(Some)) {
+                let search = OffsetSearch { center };
+                let window = center.filter(|_| warm_start).map(|c| {
+                    let c = c.clamp(0, n - 1);
+                    ((c - hw).max(0), (c + 1 + hw).min(n))
+                });
+                // Probes spent on the window and the full-bracket
+                // endpoints it does not already cover.
+                let bracket_probes =
+                    |wlo: i64, whi: i64| 2 + usize::from(wlo > 0) + usize::from(whi < n);
+                for k in 0..n {
+                    for one_above in [true, false] {
+                        let (step, probes) =
+                            drive(OffsetFsm::new(&opts, &search), |i| (i > k) == one_above);
+                        let case = format!("warm {warm_start} center {center:?} flip {k}");
+                        assert_eq!(
+                            step,
+                            OffsetStep::Done {
+                                result: grid.offset(k, k + 1),
+                                flip_lo: k
+                            },
+                            "{case}"
+                        );
+                        let expected = match window {
+                            None => 2 + bisect_probes(0, n, k),
+                            Some((wlo, whi)) if (wlo..whi).contains(&k) => {
+                                2 + bisect_probes(wlo, whi, k)
+                            }
+                            Some((wlo, whi)) if k < wlo => {
+                                bracket_probes(wlo, whi) + bisect_probes(0, wlo, k)
+                            }
+                            Some((wlo, whi)) => bracket_probes(wlo, whi) + bisect_probes(whi, n, k),
+                        };
+                        assert_eq!(probes.len(), expected, "{case}: probes {probes:?}");
+                        let mut distinct = probes.clone();
+                        distinct.sort_unstable();
+                        distinct.dedup();
+                        assert_eq!(distinct.len(), probes.len(), "{case}: a point re-probed");
+                    }
+                }
+                for stuck in [false, true] {
+                    let (step, probes) = drive(OffsetFsm::new(&opts, &search), |_| stuck);
+                    assert_eq!(step, OffsetStep::OutOfRange, "center {center:?}");
+                    let expected = window.map_or(2, |(wlo, whi)| bracket_probes(wlo, whi));
+                    assert_eq!(probes.len(), expected, "center {center:?}: {probes:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn delay_fsm_reads_the_weighted_directions_in_order() {
+        let (d0, d1) = (12e-12, 15e-12);
+        for (zf, reads, want) in [
+            (0.0, vec![true], 0.0 * 0.0 + 1.0 * d1),
+            (1.0, vec![false], 1.0 * d0 + 0.0 * 0.0),
+            (0.25, vec![false, true], 0.25 * d0 + 0.75 * d1),
+        ] {
+            let mut fsm = DelayFsm::new(zf);
+            let mut seen = Vec::new();
+            let result = loop {
+                let read = fsm.current_read();
+                seen.push(read);
+                if let Some(v) = fsm.on_delay(if read { d1 } else { d0 }) {
+                    break v;
+                }
+            };
+            assert_eq!(seen, reads, "zero fraction {zf}");
+            assert_eq!(result.to_bits(), want.to_bits(), "zero fraction {zf}");
+        }
     }
 
     #[test]

@@ -19,6 +19,7 @@
 
 use issa_core::campaign::CampaignCorner;
 use issa_core::checkpoint::{config_fingerprint, Checkpoint, CheckpointError, CornerCheckpoint};
+use issa_core::durable::{write_atomic, SavePolicy};
 use issa_core::montecarlo::{McConfig, McPhase};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, SystemTime};
@@ -165,18 +166,22 @@ impl ResultCache {
         }
     }
 
-    /// Copies the entry to `dest` so a submission can resume from it.
+    /// Publishes a copy of the entry at `dest` so a submission can resume
+    /// from it. The copy goes through [`write_atomic`], so a kill
+    /// mid-stage leaves no file at `dest` and the restarted submission
+    /// consults the cache again instead of resuming a torn checkpoint.
     ///
     /// # Errors
     ///
-    /// Any copy failure.
+    /// Any read or write failure; `dest` is not created on error.
     pub fn stage(&self, fingerprint: u64, dest: &Path) -> std::io::Result<()> {
-        std::fs::copy(self.entry_path(fingerprint), dest).map(|_| ())
+        let bytes = std::fs::read(self.entry_path(fingerprint))?;
+        write_atomic(dest, &bytes, &SavePolicy::standard())
     }
 
     /// Installs a completed campaign's checkpoint file as the cache
     /// entry for `fingerprint`. The file is re-parsed and re-saved (via
-    /// the atomic temp+rename path) rather than copied, so only a
+    /// [`write_atomic`]) rather than copied, so only a
     /// currently-valid checkpoint can ever become an entry.
     ///
     /// # Errors
@@ -351,7 +356,7 @@ fn incomplete_reason(cc: &CornerCheckpoint, cfg: &McConfig) -> Option<String> {
 mod tests {
     #![allow(clippy::unwrap_used)]
     use super::*;
-    use issa_core::checkpoint::crc32;
+    use issa_core::durable::crc32;
     use issa_core::montecarlo::McResume;
     use issa_core::netlist::SaKind;
     use issa_core::workload::{ReadSequence, Workload};
@@ -416,9 +421,17 @@ mod tests {
         let staged = dir.join("staged.ckpt");
         cache.stage(fp, &staged).unwrap();
         assert_eq!(
-            Checkpoint::load(&staged).unwrap(),
-            Checkpoint::load(&cache.entry_path(fp)).unwrap()
+            std::fs::read(&staged).unwrap(),
+            std::fs::read(cache.entry_path(fp)).unwrap()
         );
+        assert!(!staged.with_extension("ckpt.tmp").exists());
+
+        // Staging goes through a temp sibling: when the publish cannot
+        // complete, nothing appears at the destination.
+        let blocked = dir.join("blocked.ckpt");
+        std::fs::create_dir(blocked.with_extension("ckpt.tmp")).unwrap();
+        assert!(cache.stage(fp, &blocked).is_err());
+        assert!(!blocked.exists());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -22,7 +22,8 @@
 use crate::frame::{WireFault, WireFaultPlan};
 use crate::worker::WorkerOptions;
 use issa_circuit::faultinject::{FaultKind, FaultPlan};
-use issa_core::checkpoint::{IoFaultKind, IoFaultPlan};
+use issa_core::durable::{IoFaultKind, IoFaultPlan};
+use issa_core::splitmix64;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -42,13 +43,17 @@ pub const FLAKY_DEATHS: u64 = 4;
 /// revocations never trip it.
 pub const FLAKY_THRESHOLD: f64 = (FLAKY_DEATHS - 1) as f64;
 
-/// splitmix64: tiny, seedable, and identical on every platform — the
-/// derivation backbone for all chaos schedules. Distinct `stream`
+/// A SplitMix64 stream ([`splitmix64`] of `state`, `state + GAMMA`, …):
+/// tiny, seedable, and identical on every platform — the derivation
+/// backbone for all chaos schedules. Distinct `stream`
 /// values give independent sequences from one seed.
 #[derive(Debug, Clone)]
 pub struct ChaosRng {
     state: u64,
 }
+
+/// SplitMix64's golden-ratio state increment.
+const GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
 
 impl ChaosRng {
     /// A stream of pseudo-random words fully determined by
@@ -56,17 +61,15 @@ impl ChaosRng {
     #[must_use]
     pub fn new(seed: u64, stream: u64) -> Self {
         ChaosRng {
-            state: seed ^ stream.wrapping_mul(0x9e37_79b9_7f4a_7c15),
+            state: seed ^ stream.wrapping_mul(GAMMA),
         }
     }
 
     /// Next word of the stream.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        let word = splitmix64(self.state);
+        self.state = self.state.wrapping_add(GAMMA);
+        word
     }
 
     /// Uniform-enough value in `0..n` (`n` = 0 yields 0). The modulo
@@ -192,6 +195,23 @@ pub fn kill_delay(chaos_seed: u64) -> Duration {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn chaos_stream_is_pinned() {
+        // Every chaos schedule derives from this stream; these words
+        // must never change, or recorded soaks stop reproducing.
+        let mut rng = ChaosRng::new(1, 0);
+        let words: Vec<u64> = (0..4).map(|_| rng.next_u64()).collect();
+        assert_eq!(
+            words,
+            [
+                0x910a_2dec_8902_5cc1,
+                0xbeeb_8da1_658e_ec67,
+                0xf893_a2ee_fb32_555e,
+                0x71c1_8690_ee42_c90b
+            ]
+        );
+    }
 
     #[test]
     fn derivations_are_pure_functions_of_the_seed() {

@@ -8,7 +8,7 @@
 //! ```text
 //! magic  4 bytes  b"ISDF"
 //! len    4 bytes  u32 LE, payload length (<= MAX_FRAME_LEN)
-//! crc    4 bytes  u32 LE, CRC-32 of the payload (issa_core::checkpoint::crc32)
+//! crc    4 bytes  u32 LE, CRC-32 of the payload (issa_core::durable::crc32)
 //! payload len bytes
 //! ```
 //!
@@ -21,7 +21,7 @@
 //! prove the retry/reassignment machinery recovers from every fault
 //! class without corrupting results.
 
-use issa_core::checkpoint::crc32;
+use issa_core::durable::crc32;
 use std::fmt;
 use std::io::{Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -1,6 +1,6 @@
 //! Crash-safe append-only journal for service state, reusing the
 //! `ISSA-CKPT` discipline: a text header, one CRC-framed record per
-//! line, atomic (temp + fsync + rename) compaction, and replay that
+//! line, atomic compaction through `issa_core::durable`, and replay that
 //! stops cleanly at a torn tail instead of trusting it.
 //!
 //! The journal answers one question after a SIGKILL: *which submissions
@@ -22,7 +22,8 @@
 //! truncates it (reporting how many bytes were dropped) and the
 //! follow-up [`Journal::compact`] rewrites the file without it.
 
-use issa_core::checkpoint::{crc32, escape, unescape};
+use issa_core::checkpoint::{escape, unescape};
+use issa_core::durable::{crc32, write_atomic, SavePolicy};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
@@ -87,9 +88,9 @@ impl Journal {
         Ok(replay)
     }
 
-    /// Atomically rewrites `path` to hold exactly `records` (temp +
-    /// fsync + rename, the checkpoint discipline — the temp is a
-    /// sibling `*.jrnl.tmp`, covered by the startup sweep).
+    /// Atomically rewrites `path` to hold exactly `records` through
+    /// [`write_atomic`] (the temp is a sibling `*.jrnl.tmp`, covered by
+    /// the startup sweep).
     ///
     /// # Errors
     ///
@@ -102,18 +103,7 @@ impl Journal {
             body.push_str(&encode_record(record));
             body.push('\n');
         }
-        let tmp = path.with_extension("jrnl.tmp");
-        let result = (|| {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(body.as_bytes())?;
-            f.sync_all()?;
-            drop(f);
-            std::fs::rename(&tmp, path)
-        })();
-        if result.is_err() {
-            let _ = std::fs::remove_file(&tmp);
-        }
-        result
+        write_atomic(path, body.as_bytes(), &SavePolicy::standard())
     }
 
     /// Opens `path` (which must exist — create it with

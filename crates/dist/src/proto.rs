@@ -29,6 +29,7 @@ use issa_core::campaign::CampaignCorner;
 use issa_core::checkpoint::{
     config_fingerprint, escape, failure_fields, parse_failure_fields, unescape,
 };
+use issa_core::durable::Fnv64;
 use issa_core::montecarlo::{McPhase, SampleFailure};
 
 /// Protocol version spoken by this build; a `hello` with any other
@@ -367,18 +368,12 @@ fn parse_value_record<'a>(
 /// the checkpoint's per-corner fingerprint check.
 #[must_use]
 pub fn campaign_fingerprint(corners: &[CampaignCorner]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut h = Fnv64::default();
     for corner in corners {
-        mix(corner.name.as_bytes());
-        mix(&config_fingerprint(&corner.name, &corner.cfg).to_le_bytes());
+        h.update(corner.name.as_bytes());
+        h.update(&config_fingerprint(&corner.name, &corner.cfg).to_le_bytes());
     }
-    h
+    h.finish()
 }
 
 #[cfg(test)]

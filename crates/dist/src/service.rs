@@ -50,7 +50,8 @@ use crate::proto::{campaign_fingerprint, PROTO_VERSION};
 use crate::DistError;
 use issa_circuit::cancel::{CancelCause, CancelToken};
 use issa_core::campaign::{run_campaign, CampaignCorner, CampaignOptions, CampaignReport};
-use issa_core::checkpoint::{escape, sweep_stale_temps, unescape};
+use issa_core::checkpoint::{escape, unescape};
+use issa_core::durable::sweep_stale_temps;
 use std::io::Write;
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};

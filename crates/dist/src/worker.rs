@@ -17,6 +17,7 @@ use crate::DistError;
 use issa_circuit::PerfSnapshot;
 use issa_core::batch::{batching_enabled, run_delay_batch, run_offset_batch, BatchHooks};
 use issa_core::campaign::CampaignCorner;
+use issa_core::durable::Fnv64;
 use issa_core::montecarlo::{
     run_delay_sample, run_offset_sample_with, McConfig, McPhase, SampleRun,
 };
@@ -82,13 +83,11 @@ impl Default for WorkerOptions {
 /// instead of as a thundering herd of simultaneous reconnects — and the
 /// spread is reproducible run to run, like every other timing knob here.
 fn jittered_backoff(backoff: Duration, name: &str, attempt: u64) -> Duration {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.as_bytes().iter().chain(&attempt.to_le_bytes()) {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let mut h = Fnv64::default();
+    h.update(name.as_bytes());
+    h.update(&attempt.to_le_bytes());
     // Top 53 bits → uniform in [0, 1), so f is uniform in [0.5, 1.5).
-    let unit = (h >> 11) as f64 / (1u64 << 53) as f64;
+    let unit = (h.finish() >> 11) as f64 / (1u64 << 53) as f64;
     backoff.mul_f64(0.5 + unit)
 }
 

@@ -18,17 +18,10 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// SplitMix64 step: the de-facto standard seed scrambler.
-///
-/// Used to derive statistically independent child seeds from a parent seed
-/// plus a stream index.
-#[inline]
-pub fn splitmix64(state: u64) -> u64 {
-    let mut z = state.wrapping_add(0x9E3779B97F4A7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}
+/// SplitMix64 step: the de-facto standard seed scrambler, used to derive
+/// statistically independent child seeds from a parent seed plus a
+/// stream index. Defined once, in `rand`.
+pub use rand::splitmix64;
 
 /// Hierarchical seed derivation.
 ///

@@ -12,6 +12,23 @@
 //! statistical quality, both of which xoshiro256++ provides. The
 //! generator is deliberately simple, allocation-free, and fast.
 
+/// The SplitMix64 output function: advances `state` by the golden-ratio
+/// increment and scrambles it. The workspace's one definition — the seed
+/// expansion of [`SeedableRng::seed_from_u64`], `issa_num`'s seed tree
+/// and the chaos schedules all call it.
+#[inline]
+#[must_use]
+pub fn splitmix64(state: u64) -> u64 {
+    let mut z = state.wrapping_add(GOLDEN_GAMMA);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// SplitMix64's state increment (2⁶⁴ / φ): a SplitMix64 *stream* is
+/// `splitmix64(s), splitmix64(s + GOLDEN_GAMMA), …`.
+const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
 /// Low-level source of random 64-bit words.
 pub trait RngCore {
     /// The next 64 random bits.
@@ -142,16 +159,7 @@ pub trait SeedableRng: Sized {
 
 /// Concrete generators.
 pub mod rngs {
-    use super::{RngCore, SeedableRng};
-
-    #[inline]
-    fn splitmix64(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
+    use super::{splitmix64, RngCore, SeedableRng, GOLDEN_GAMMA};
 
     /// The workspace's standard generator: xoshiro256++.
     #[derive(Debug, Clone, PartialEq, Eq)]
@@ -191,7 +199,8 @@ pub mod rngs {
             let mut sm = state;
             let mut s = [0u64; 4];
             for word in &mut s {
-                *word = splitmix64(&mut sm);
+                *word = splitmix64(sm);
+                sm = sm.wrapping_add(GOLDEN_GAMMA);
             }
             let mut rng = Self { s };
             rng.ensure_nonzero();
@@ -221,7 +230,7 @@ pub mod rngs {
 #[cfg(test)]
 mod tests {
     use super::rngs::StdRng;
-    use super::{Rng, SeedableRng};
+    use super::{splitmix64, Rng, SeedableRng};
 
     #[test]
     fn deterministic_from_seed() {
@@ -263,6 +272,11 @@ mod tests {
             let k: usize = r.gen_range(0..3);
             assert!(k < 3);
         }
+    }
+
+    #[test]
+    fn splitmix64_matches_the_reference_value() {
+        assert_eq!(splitmix64(0), 0xe220_a839_7b1d_cdaf);
     }
 
     #[test]

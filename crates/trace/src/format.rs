@@ -21,8 +21,8 @@
 //!
 //! The event count in the header pins the exact file length, so any
 //! truncation is detected *before* events are consumed; the CRC trailer
-//! catches every bit flip. Writes go through the same temp + `fsync` +
-//! rename discipline as `issa-core`'s checkpoints: a crash never
+//! catches every bit flip. Writes go through the same atomic publish as
+//! `issa-core`'s checkpoints ([`issa_core::durable`]): a crash never
 //! publishes a torn trace, and a failed save leaves any previous trace at
 //! the path intact.
 //!
@@ -31,9 +31,10 @@
 //! incrementally, and verifies the trailer when the last event is
 //! consumed — a multi-gigabyte trace is never materialized in memory.
 
+use issa_core::durable::{crc32, write_atomic, Crc32, Fnv64, SavePolicy};
 use std::fmt;
 use std::fs::File;
-use std::io::{BufReader, Read, Write};
+use std::io::{BufReader, Read};
 use std::path::Path;
 
 /// First line of every trace file; the digit is the format version.
@@ -173,62 +174,6 @@ impl TraceEvent {
     }
 }
 
-/// Incremental CRC-32 (IEEE 802.3, the same polynomial as
-/// `issa_core::checkpoint::crc32`) so streaming readers never need the
-/// whole file in memory.
-#[derive(Debug, Clone, Copy)]
-struct Crc32 {
-    state: u32,
-}
-
-impl Crc32 {
-    fn new() -> Self {
-        Self { state: 0xFFFF_FFFF }
-    }
-
-    fn update(&mut self, bytes: &[u8]) {
-        let mut crc = self.state;
-        for &b in bytes {
-            crc ^= u32::from(b);
-            for _ in 0..8 {
-                let mask = (crc & 1).wrapping_neg();
-                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-            }
-        }
-        self.state = crc;
-    }
-
-    fn finish(self) -> u32 {
-        !self.state
-    }
-}
-
-/// Incremental FNV-1a over the serialized bytes — the trace fingerprint
-/// that campaign configs fold into their own fingerprint so a resume
-/// under a *swapped trace* is refused exactly like a resume under a
-/// different seed.
-#[derive(Debug, Clone, Copy)]
-struct Fnv64 {
-    state: u64,
-}
-
-impl Fnv64 {
-    fn new() -> Self {
-        Self {
-            state: 0xcbf2_9ce4_8422_2325,
-        }
-    }
-
-    fn update(&mut self, bytes: &[u8]) {
-        let mut h = self.state;
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        self.state = h;
-    }
-}
-
 /// A fully materialized trace (generation and tests; replay streams via
 /// [`TraceReader`] instead).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -267,9 +212,7 @@ impl Trace {
         for e in &self.events {
             out.extend_from_slice(&e.to_bytes());
         }
-        let mut crc = Crc32::new();
-        crc.update(&out);
-        out.extend_from_slice(&crc.finish().to_le_bytes());
+        out.extend_from_slice(&crc32(&out).to_le_bytes());
         out
     }
 
@@ -296,34 +239,26 @@ impl Trace {
     /// (header, events, and CRC trailer). Identical traces — and only
     /// identical traces — share a fingerprint.
     pub fn fingerprint(&self) -> u64 {
-        let mut f = Fnv64::new();
+        let mut f = Fnv64::default();
         f.update(&self.to_bytes());
-        f.state
+        f.finish()
     }
 
-    /// Atomically writes the trace to `path`: bytes land in a sibling
-    /// `.tmp` file, are `fsync`ed, and renamed over the target — the
-    /// same discipline as `issa-core`'s checkpoints, so a crash never
-    /// publishes a torn trace.
+    /// Atomically writes the trace to `path` through
+    /// [`issa_core::durable::write_atomic`] — the same publish as
+    /// `issa-core`'s checkpoints, so a crash never publishes a torn
+    /// trace.
     ///
     /// # Errors
     ///
     /// [`TraceError::Io`]; the previous file at `path` (if any) is
     /// intact whenever this returns an error.
     pub fn save(&self, path: &Path) -> Result<(), TraceError> {
-        let bytes = self.to_bytes();
-        let tmp = path.with_extension("trc.tmp");
-        let result = (|| -> std::io::Result<()> {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&bytes)?;
-            f.sync_all()?;
-            drop(f);
-            std::fs::rename(&tmp, path)
-        })();
-        if result.is_err() {
-            let _ = std::fs::remove_file(&tmp);
-        }
-        result.map_err(TraceError::from)
+        Ok(write_atomic(
+            path,
+            &self.to_bytes(),
+            &SavePolicy::standard(),
+        )?)
     }
 
     /// Loads and fully validates a trace file.
@@ -403,9 +338,9 @@ impl<R: Read> TraceReader<R> {
         if expected != Some(total_len) {
             return Err(TraceError::Truncated);
         }
-        let mut crc = Crc32::new();
+        let mut crc = Crc32::default();
         crc.update(&head);
-        let mut fnv = Fnv64::new();
+        let mut fnv = Fnv64::default();
         fnv.update(&head);
         Ok(Self {
             src,
@@ -481,7 +416,7 @@ impl<R: Read> TraceReader<R> {
     /// and the CRC verified (i.e. [`TraceReader::next_event`] returned
     /// `Ok(None)`).
     pub fn fingerprint(&self) -> Option<u64> {
-        self.verified.then_some(self.fnv.state)
+        self.verified.then_some(self.fnv.finish())
     }
 }
 
@@ -570,9 +505,7 @@ mod tests {
         bytes[HEADER_LEN + 8] = 7; // first event's op
                                    // Recompute the CRC so the op check (not the CRC) fires.
         let body_len = bytes.len() - 4;
-        let mut crc = Crc32::new();
-        crc.update(&bytes[..body_len]);
-        let trailer = crc.finish().to_le_bytes();
+        let trailer = crc32(&bytes[..body_len]).to_le_bytes();
         bytes[body_len..].copy_from_slice(&trailer);
         match Trace::from_bytes(&bytes) {
             Err(TraceError::Malformed { reason, .. }) => {

@@ -29,11 +29,17 @@ echo "== tier-1: cargo build --release && cargo test =="
 cargo build --release
 cargo test -q
 
+echo "== member crates: unit, integration and doc tests of every workspace crate =="
+# The root `cargo test` covers only the `issa` package; this runs the
+# rest (issa-num, issa-circuit, issa-core, issa-dist, issa-trace, rand,
+# ...), including the suites the per-area steps below used to name
+# one by one.
+cargo test -q --workspace --exclude issa
+
 echo "== release bench binaries (campaign smoke needs them) =="
 cargo build --release --workspace
 
-echo "== batched lockstep suites (SoA LU properties, scalar-vs-batched) =="
-cargo test -q -p issa-num --test smatrix_props
+echo "== batched lockstep suites (scalar-vs-batched) =="
 cargo test -q --test determinism batched
 
 echo "== hotpath bench identity guard (reference vs fast vs batched) =="
@@ -56,11 +62,9 @@ rm -rf "$GUARD_DIR"
 trap - EXIT
 
 echo "== fault injection / recovery suite =="
-cargo test -q -p issa-circuit --test recovery
 cargo test -q --test fault_quarantine
 
 echo "== durability / cancellation suites =="
-cargo test -q -p issa-circuit --test cancel
 cargo test -q --test checkpoint_durability
 cargo test -q --test campaign_resume
 
@@ -69,12 +73,10 @@ echo "== trace suites (format durability, replay stress, campaign determinism) =
 # truncation and bit flip rejected), measured duties must match the
 # closed-form compiler bit for bit, and trace-driven campaigns must be
 # invariant to threads/lanes/resume.
-cargo test -q -p issa-trace
 cargo test -q --test trace_durability
 cargo test -q --test array_trace
 
-echo "== distribution suites (frames, scheduler, loopback fleet) =="
-cargo test -q -p issa-dist
+echo "== distribution suites (loopback fleet) =="
 cargo test -q --test dist_loopback
 cargo test -q --test dist_perf_attribution
 

@@ -146,6 +146,48 @@ fn failed_saves_never_clobber_the_previous_valid_checkpoint() {
 }
 
 #[test]
+fn transient_directory_sync_fault_is_retried_away() {
+    let path = temp_path("dirsync-transient");
+    let plan = IoFaultPlan::transient(&[(0, IoFaultKind::DirSync)]);
+    checkpoint(5)
+        .save_with(&path, &quick(3, Some(plan.clone())))
+        .expect("a transient directory-sync fault must be retried away");
+    assert_eq!(plan.attempts(), 2, "first attempt faulted, second landed");
+    assert_eq!(Checkpoint::load(&path).unwrap(), checkpoint(5));
+    assert!(!path.with_extension("ckpt.tmp").exists());
+    std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
+fn persistent_directory_sync_fault_errors_but_never_tears_the_target() {
+    // The directory sync runs after the rename: the new file is already
+    // complete at the target, only its name is not yet durable. A disk
+    // that never syncs its directory must surface an error, and the
+    // target must still hold a complete checkpoint with no temp debris.
+    let path = temp_path("dirsync-persistent");
+    checkpoint(1).save(&path).unwrap();
+    let plan = IoFaultPlan::persistent_from(0, IoFaultKind::DirSync);
+    let err = checkpoint(2)
+        .save_with(&path, &quick(3, Some(plan.clone())))
+        .expect_err("a persistent directory-sync fault must defeat every retry");
+    assert_eq!(plan.attempts(), 3);
+    match &err {
+        CheckpointError::Io(msg) => assert!(
+            msg.contains("injected checkpoint dir-sync fault"),
+            "the error must name the failing stage, got {msg:?}"
+        ),
+        other => panic!("expected an Io error, got {other:?}"),
+    }
+    let on_disk = Checkpoint::load(&path).expect("the target is never torn");
+    assert!(
+        on_disk == checkpoint(1) || on_disk == checkpoint(2),
+        "the target holds one complete generation, got {on_disk:?}"
+    );
+    assert!(!path.with_extension("ckpt.tmp").exists(), "temp cleaned");
+    std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
 fn unwritable_target_directory_fails_loudly_without_a_panic() {
     // A path whose "directory" is a regular file can never be created;
     // the save must surface an Io error through the retry machinery.
