@@ -27,18 +27,25 @@
 use crate::checkpoint::{
     config_fingerprint, Checkpoint, CheckpointError, CornerCheckpoint, SavePolicy,
 };
-use crate::montecarlo::{McConfig, McControl, McObserver, McPhase, McResult, SampleFailure};
+use crate::montecarlo::{
+    McConfig, McControl, McObserver, McPhase, McResult, McResume, SampleFailure,
+};
 use crate::tail::run_tail_mc;
 use crate::SaError;
 use issa_circuit::cancel::{CancelCause, CancelToken};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Set by the SIGINT/SIGTERM handler; polled by the campaign watchdog.
 static INTERRUPTED: AtomicBool = AtomicBool::new(false);
+
+/// How often the watchdog looks at [`INTERRUPTED`]. A signal handler can
+/// only store to an atomic, not notify a condition variable, so signals
+/// are the one thing the watchdog polls for.
+const SIGNAL_TICK: Duration = Duration::from_millis(25);
 
 #[cfg(unix)]
 mod signals {
@@ -390,8 +397,16 @@ struct SinkState {
     /// The corner currently running: restored records plus every fresh
     /// completion observed so far.
     current: CornerCheckpoint,
+    /// Restored corners not started yet, in campaign order. Every
+    /// snapshot keeps them, so a write made before they come up (or a
+    /// cancellation that skips them) does not drop their records.
+    pending: Vec<CornerCheckpoint>,
     fresh_since_flush: usize,
     fresh_total: usize,
+    /// A record or log-weight arrived since the last write. Only fresh
+    /// data changes the snapshot — it always holds every restored
+    /// record — so a run with nothing fresh never rewrites the file.
+    dirty: bool,
     /// Durability engine; `None` when the campaign runs checkpoint-less
     /// by configuration.
     writer: Option<CheckpointWriter>,
@@ -404,12 +419,13 @@ fn lock<'m>(m: &'m Mutex<SinkState>) -> MutexGuard<'m, SinkState> {
 }
 
 impl SinkState {
-    /// The full campaign snapshot as of now.
+    /// The full campaign snapshot as of now, in campaign order.
     fn snapshot(&self) -> Checkpoint {
         let mut corners = self.done.clone();
         if !self.current.name.is_empty() {
             corners.push(self.current.clone());
         }
+        corners.extend(self.pending.iter().cloned());
         Checkpoint { corners }
     }
 }
@@ -419,9 +435,16 @@ impl CheckpointSink<'_> {
         // Durability is best-effort while the run is healthy; losing a
         // flush only widens the recompute window after a kill, and a disk
         // that stays broken degrades the writer instead of the campaign.
+        // A failed write leaves the state dirty, so the next flush tries
+        // again.
+        if !s.dirty || s.writer.is_none() {
+            return;
+        }
         let snapshot = s.snapshot();
         if let Some(writer) = s.writer.as_mut() {
-            writer.flush(&snapshot);
+            if writer.flush(&snapshot) {
+                s.dirty = false;
+            }
         }
     }
 }
@@ -436,6 +459,7 @@ impl McObserver for CheckpointSink<'_> {
             },
             Err(f) => s.current.resume.failures.push(f.clone()),
         }
+        s.dirty = true;
         s.fresh_since_flush += 1;
         s.fresh_total += 1;
         if self.abort_after.is_some_and(|n| s.fresh_total >= n) {
@@ -454,6 +478,65 @@ impl McObserver for CheckpointSink<'_> {
         // they never count toward the flush cadence).
         let mut s = lock(&self.state);
         s.current.resume.log_weights.push((index, log_weight));
+        s.dirty = true;
+    }
+}
+
+/// Turns the asynchronous stop conditions — the deadline and, when
+/// signals are handled, SIGINT/SIGTERM — into the cooperative token the
+/// solver loops poll. It sleeps on a condition variable until the
+/// deadline, waking every [`SIGNAL_TICK`] only while it watches for
+/// signals, and [`Watchdog::stop`] wakes it at once.
+struct Watchdog {
+    thread: std::thread::JoinHandle<()>,
+    stopped: Arc<(Mutex<bool>, Condvar)>,
+}
+
+impl Watchdog {
+    /// `None` when there is nothing to watch.
+    fn spawn(token: &CancelToken, deadline: Option<Instant>, signals: bool) -> Option<Watchdog> {
+        if deadline.is_none() && !signals {
+            return None;
+        }
+        let stopped = Arc::new((Mutex::new(false), Condvar::new()));
+        let thread = {
+            let token = token.clone();
+            let stopped = Arc::clone(&stopped);
+            std::thread::spawn(move || {
+                let (flag, wake) = &*stopped;
+                let mut deadline = deadline;
+                let mut done = flag.lock().unwrap_or_else(PoisonError::into_inner);
+                while !*done {
+                    if signals && INTERRUPTED.load(Ordering::SeqCst) {
+                        token.cancel(CancelCause::Interrupt);
+                    }
+                    let now = Instant::now();
+                    if deadline.is_some_and(|d| now >= d) {
+                        token.cancel(CancelCause::Deadline);
+                        deadline = None;
+                    }
+                    let wait = match (deadline, signals) {
+                        (Some(d), true) => (d - now).min(SIGNAL_TICK),
+                        (Some(d), false) => d - now,
+                        (None, true) => SIGNAL_TICK,
+                        (None, false) => return,
+                    };
+                    done = wake
+                        .wait_timeout(done, wait)
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0;
+                }
+            })
+        };
+        Some(Watchdog { thread, stopped })
+    }
+
+    /// Wakes the watchdog and joins it.
+    fn stop(self) {
+        let (flag, wake) = &*self.stopped;
+        *flag.lock().unwrap_or_else(PoisonError::into_inner) = true;
+        wake.notify_all();
+        let _ = self.thread.join();
     }
 }
 
@@ -494,6 +577,14 @@ pub fn run_campaign(
     if opts.progress && resumed_records > 0 {
         eprintln!("campaign: resuming with {resumed_records} checkpointed records");
     }
+    let mut restored = restored.corners;
+    let pending = corners
+        .iter()
+        .filter_map(|c| {
+            let k = restored.iter().position(|r| r.name == c.name)?;
+            Some(restored.swap_remove(k))
+        })
+        .collect();
 
     if opts.handle_signals {
         INTERRUPTED.store(false, Ordering::SeqCst);
@@ -502,32 +593,16 @@ pub fn run_campaign(
     let token = opts.cancel.clone().unwrap_or_default();
     let deadline = opts.deadline.map(|d| Instant::now() + d);
 
-    // The watchdog turns asynchronous conditions (deadline, signal) into
-    // the cooperative token the solver loops poll.
-    let watchdog_done = Arc::new(AtomicBool::new(false));
-    let watchdog = {
-        let token = token.clone();
-        let done = Arc::clone(&watchdog_done);
-        let watch_signals = opts.handle_signals;
-        std::thread::spawn(move || {
-            while !done.load(Ordering::SeqCst) {
-                if watch_signals && INTERRUPTED.load(Ordering::SeqCst) {
-                    token.cancel(CancelCause::Interrupt);
-                }
-                if deadline.is_some_and(|d| Instant::now() >= d) {
-                    token.cancel(CancelCause::Deadline);
-                }
-                std::thread::sleep(Duration::from_millis(25));
-            }
-        })
-    };
+    let watchdog = Watchdog::spawn(&token, deadline, opts.handle_signals);
 
     let sink = CheckpointSink {
         state: Mutex::new(SinkState {
             done: Vec::new(),
             current: CornerCheckpoint::default(),
+            pending,
             fresh_since_flush: 0,
             fresh_total: 0,
+            dirty: false,
             writer: opts.checkpoint.clone().map(|path| {
                 CheckpointWriter::new(path, opts.save_policy.clone(), opts.max_save_failures)
             }),
@@ -552,10 +627,19 @@ pub fn run_campaign(
             continue;
         }
 
-        let resume = restored
-            .corner(&corner.name)
-            .map(|c| c.resume.clone())
-            .unwrap_or_default();
+        let resume = {
+            let mut s = lock(&sink.state);
+            s.current = match s.pending.iter().position(|c| c.name == corner.name) {
+                Some(k) => s.pending.remove(k),
+                None => CornerCheckpoint {
+                    name: corner.name.clone(),
+                    fingerprint: config_fingerprint(&corner.name, &corner.cfg),
+                    resume: McResume::default(),
+                },
+            };
+            s.fresh_since_flush = 0;
+            s.current.resume.clone()
+        };
         if opts.progress {
             eprintln!(
                 "campaign: corner {:?} ({} samples, {} restored)",
@@ -563,15 +647,6 @@ pub fn run_campaign(
                 corner.cfg.samples,
                 resume.records()
             );
-        }
-        {
-            let mut s = lock(&sink.state);
-            s.current = CornerCheckpoint {
-                name: corner.name.clone(),
-                fingerprint: config_fingerprint(&corner.name, &corner.cfg),
-                resume: resume.clone(),
-            };
-            s.fresh_since_flush = 0;
         }
         let ctl = McControl {
             resume: Some(&resume),
@@ -621,8 +696,9 @@ pub fn run_campaign(
         });
     }
 
-    watchdog_done.store(true, Ordering::SeqCst);
-    let _ = watchdog.join();
+    if let Some(watchdog) = watchdog {
+        watchdog.stop();
+    }
 
     let cancelled = token.fired();
     let partial = cancelled.is_some()
@@ -801,6 +877,111 @@ mod tests {
         assert!(path.exists(), "keep_checkpoint must not delete the file");
         let kept = crate::checkpoint::Checkpoint::load(&path).unwrap();
         assert_eq!(kept.records(), 4 + corner.cfg.delay_samples.min(4));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn deadline_expiring_mid_corner_cancels_it() {
+        // About 2 s of work on two threads; the deadline cuts it at 30 ms.
+        let corner = smoke_corner("long", 256);
+        let start = Instant::now();
+        let report = run_campaign(
+            std::slice::from_ref(&corner),
+            &CampaignOptions {
+                deadline: Some(Duration::from_millis(30)),
+                ..CampaignOptions::default()
+            },
+        )
+        .unwrap();
+        let took = start.elapsed();
+        assert!(report.partial);
+        assert_eq!(report.cancelled, Some(CancelCause::Deadline));
+        // The corner started (the check at corner start saw time left)
+        // and the watchdog stopped it part way.
+        match &report.corners[0].outcome {
+            CornerOutcome::Completed(r) => assert!(r.partial && r.offsets.len() < 256),
+            CornerOutcome::Failed(SaError::Cancelled { .. }) => {}
+            other => panic!("the corner should be cut short, got {other:?}"),
+        }
+        assert!(took < Duration::from_secs(5), "cancelled run took {took:?}");
+    }
+
+    #[test]
+    fn complete_checkpoint_is_not_rewritten() {
+        let corners = vec![smoke_corner("a", 4), smoke_corner("b", 4)];
+        let path = temp_ckpt("unchanged");
+        let keep = CampaignOptions {
+            checkpoint: Some(path.clone()),
+            flush_every: 1,
+            keep_checkpoint: true,
+            ..CampaignOptions::default()
+        };
+        let first = run_campaign(&corners, &keep).unwrap();
+        assert!(!first.partial);
+        let bytes = std::fs::read(&path).unwrap();
+        let mtime = std::fs::metadata(&path).unwrap().modified().unwrap();
+
+        // Every record is restored: nothing is new, so nothing is saved.
+        let plan = crate::checkpoint::IoFaultPlan::new(Vec::new());
+        let repeat = run_campaign(
+            &corners,
+            &CampaignOptions {
+                save_policy: SavePolicy::standard().with_faults(plan.clone()),
+                ..keep
+            },
+        )
+        .unwrap();
+        assert!(!repeat.partial);
+        assert_eq!(repeat.corners, first.corners);
+        assert_eq!(
+            repeat.resumed_records,
+            crate::checkpoint::Checkpoint::load(&path)
+                .unwrap()
+                .records()
+        );
+        assert_eq!(plan.attempts(), 0, "a complete checkpoint was saved again");
+        assert_eq!(std::fs::read(&path).unwrap(), bytes);
+        assert_eq!(std::fs::metadata(&path).unwrap().modified().unwrap(), mtime);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn resumed_run_keeps_restored_corners_it_has_not_reached() {
+        let corners = vec![smoke_corner("fresh", 4), smoke_corner("restored", 4)];
+        let path = temp_ckpt("pending");
+        let keep = CampaignOptions {
+            checkpoint: Some(path.clone()),
+            flush_every: 1,
+            keep_checkpoint: true,
+            ..CampaignOptions::default()
+        };
+        let first = run_campaign(&corners, &keep).unwrap();
+        let complete = crate::checkpoint::Checkpoint::load(&path).unwrap();
+
+        // Drop the first corner's delay records. The next run writes as
+        // soon as it recomputes one, long before the second corner comes
+        // up, and is then interrupted; the second corner's records must
+        // still be in the file.
+        let mut cut = complete.clone();
+        cut.corners[0].resume.delays.clear();
+        cut.save(&path).unwrap();
+        let aborted = run_campaign(
+            &corners,
+            &CampaignOptions {
+                abort_after: Some(1),
+                ..keep.clone()
+            },
+        )
+        .unwrap();
+        assert!(aborted.partial);
+        let kept = crate::checkpoint::Checkpoint::load(&path).unwrap();
+        assert_eq!(kept.corner("restored"), complete.corner("restored"));
+        assert!(kept.records() > cut.records());
+
+        let resumed = run_campaign(&corners, &keep).unwrap();
+        assert_eq!(resumed.corners, first.corners);
+        let kept = crate::checkpoint::Checkpoint::load(&path).unwrap();
+        assert_eq!(kept.records(), complete.records());
         std::fs::remove_file(&path).unwrap();
     }
 

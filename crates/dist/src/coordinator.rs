@@ -58,6 +58,7 @@
 //! ordinary `max_failure_frac` budget — not a special distributed code
 //! path — decides whether the campaign survives.
 
+use crate::acceptor::Acceptor;
 use crate::frame::FrameStream;
 use crate::proto::{campaign_fingerprint, Msg, UnitAssignment, WorkerPerf, PROTO_VERSION};
 use crate::scheduler::{assign_in_order, Applied, PhaseScheduler, SchedStats, SchedulerConfig};
@@ -75,8 +76,8 @@ use issa_core::montecarlo::{
 };
 use issa_core::tail::{resolve_proposal, tail_log_weight, with_resolved};
 use std::collections::{HashMap, HashSet};
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -259,8 +260,6 @@ struct ServeState {
     /// Results for units no served phase owns (late copies of a retired
     /// phase's units), acknowledged and discarded.
     stale_results: u64,
-    /// Live connection handlers; the shutdown linger waits for zero.
-    conns: usize,
     /// Flakiness scores by worker name (see [`WorkerHealth`]).
     health: HashMap<String, WorkerHealth>,
     /// Names rejected as flaky, once each, in rejection order.
@@ -276,7 +275,6 @@ impl ServeState {
             phases: Vec::new(),
             changed: false,
             stale_results: 0,
-            conns: 0,
             health: HashMap::new(),
             flaky_rejected: Vec::new(),
         }
@@ -478,12 +476,9 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
     if stream
         .set_read_timeout(Some(shared.worker_timeout))
         .is_err()
-        || stream.set_nodelay(true).is_err()
     {
         return;
     }
-    lock(shared).conns += 1;
-    let _open = OpenConnection(shared);
     let mut frames = FrameStream::new(stream);
     let mut conn_worker: Option<u64> = None;
     while let Ok(payload) = frames.recv() {
@@ -510,28 +505,6 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
     }
     if let Some(id) = conn_worker {
         shared.worker_lost(id);
-    }
-}
-
-/// Pairs every `handle_connection` entry with an exit, panics included,
-/// and wakes the shutdown linger as the connection count drops.
-struct OpenConnection<'a>(&'a Shared);
-
-impl Drop for OpenConnection<'_> {
-    fn drop(&mut self) {
-        let mut s = lock(self.0);
-        s.conns = s.conns.saturating_sub(1);
-        self.0.cv.notify_all();
-    }
-}
-
-/// An address that reaches `local` from this host: the loopback address
-/// of the same family when the listener is bound to the wildcard.
-fn wake_addr(local: SocketAddr) -> SocketAddr {
-    match local.ip() {
-        IpAddr::V4(ip) if ip.is_unspecified() => (Ipv4Addr::LOCALHOST, local.port()).into(),
-        IpAddr::V6(ip) if ip.is_unspecified() => (Ipv6Addr::LOCALHOST, local.port()).into(),
-        _ => local,
     }
 }
 
@@ -593,31 +566,12 @@ pub fn serve_campaign(
         flaky_halflife: opts.flaky_halflife,
     });
 
-    // Acceptor: blocks in `accept`; shutdown wakes it with a connection
-    // of its own.
-    listener.set_nonblocking(false)?;
+    // Handlers exit on their read deadline or when their worker
+    // disconnects.
     let local_addr = listener.local_addr()?;
-    let shutdown = Arc::new(AtomicBool::new(false));
     let acceptor = {
         let shared = Arc::clone(&shared);
-        let shutdown = Arc::clone(&shutdown);
-        std::thread::spawn(move || {
-            for stream in listener.incoming() {
-                if shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                match stream {
-                    Ok(stream) => {
-                        let shared = Arc::clone(&shared);
-                        // Handlers are detached: they exit on their read
-                        // deadline or when their worker disconnects.
-                        std::thread::spawn(move || handle_connection(stream, &shared));
-                    }
-                    // Out of descriptors or the like: back off, not spin.
-                    Err(_) => std::thread::sleep(Duration::from_millis(10)),
-                }
-            }
-        })
+        Acceptor::spawn(listener, move |stream| handle_connection(stream, &shared))?
     };
 
     // Loopback workers: real TCP, real protocol, one process.
@@ -667,26 +621,8 @@ pub fn serve_campaign(
     // delivered and each close wakes this wait, so it ends the moment
     // none are outstanding; the deadline only caps workers that vanished
     // without disconnecting.
-    let drain_deadline = Instant::now() + opts.drain_deadline;
-    let mut s = lock(&shared);
-    while s.conns > 0 {
-        let left = drain_deadline.saturating_duration_since(Instant::now());
-        if left.is_zero() {
-            break;
-        }
-        s = shared
-            .cv
-            .wait_timeout(s, left)
-            .unwrap_or_else(PoisonError::into_inner)
-            .0;
-    }
-    drop(s);
-    shutdown.store(true, Ordering::SeqCst);
-    // If even a loopback connect fails, the blocked acceptor is left to
-    // end with the process rather than hang the return.
-    if TcpStream::connect_timeout(&wake_addr(local_addr), Duration::from_secs(1)).is_ok() {
-        let _ = acceptor.join();
-    }
+    acceptor.wait_idle(Instant::now() + opts.drain_deadline);
+    acceptor.stop();
 
     campaign.checkpoint_degraded = writer.as_ref().and_then(|w| w.degraded().map(String::from));
     let (mut workers, flaky_rejected) = {

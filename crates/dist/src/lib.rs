@@ -20,6 +20,8 @@
 //!
 //! # Architecture
 //!
+//! - `acceptor` — the one blocking TCP accept loop that both the
+//!   coordinator and the service serve their connections from.
 //! - [`frame`] — length-prefixed, CRC-checked frames over any byte
 //!   stream (the same corruption discipline as
 //!   [`issa_core::checkpoint`]), plus transport-level fault injection.
@@ -43,6 +45,7 @@
 //!   state journal ([`journal`]), and an integrity-verified result
 //!   cache ([`cache`]).
 
+mod acceptor;
 pub mod cache;
 pub mod chaos;
 pub mod control;

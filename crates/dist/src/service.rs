@@ -5,9 +5,9 @@
 //!
 //! ```text
 //! run_service (dispatcher, owns journal + registry + cache)
-//! ├── acceptor thread (non-blocking TCP accept loop)
-//! │   └── one handler thread per connection (LineReader, 250 ms poll)
-//! └── one runner thread per Running submission
+//! ├── acceptor thread (the blocking accept loop shared with the coordinator)
+//! │   └── one detached handler thread per connection (LineReader, 250 ms poll)
+//! └── one detached runner thread per Running submission
 //!     └── run_campaign (its own worker pool, checkpoint sink, token)
 //! ```
 //!
@@ -43,6 +43,7 @@
 //! do; the journal, by contrast, is load-bearing — a journal append
 //! failure fails the submit that needed it.
 
+use crate::acceptor::Acceptor;
 use crate::cache::{CacheLookup, EvictionPolicy, EvictionReport, ResultCache};
 use crate::control::{error_response, ok_response, ControlRequest, Json, LineReader, NextLine};
 use crate::journal::Journal;
@@ -239,6 +240,8 @@ struct Submission {
     tenant: String,
     fingerprint: u64,
     params: Json,
+    /// The corners to run; empty once the submission is terminal, so the
+    /// registry's memory does not grow with every campaign it has run.
     corners: Vec<CampaignCorner>,
     state: SubState,
     /// Consecutive runner panics (resets on clean completion only).
@@ -257,6 +260,16 @@ struct Submission {
     crash_after: Option<usize>,
     /// …on this many initial attempts.
     crash_attempts: u32,
+}
+
+impl Submission {
+    /// Moves into a terminal state, dropping the corners no run needs
+    /// again.
+    fn settle(&mut self, state: SubState) {
+        debug_assert!(state.terminal());
+        self.state = state;
+        self.corners = Vec::new();
+    }
 }
 
 /// What a runner thread reports back to the dispatcher.
@@ -346,7 +359,11 @@ pub fn run_service(
     // busy — backpressure, not a queue.
     let (events_tx, events_rx): (SyncSender<Event>, Receiver<Event>) = sync_channel(64);
     let conn_shutdown = Arc::new(AtomicBool::new(false));
-    let acceptor = spawn_acceptor(listener, events_tx.clone(), Arc::clone(&conn_shutdown))?;
+    let acceptor = {
+        let events = events_tx.clone();
+        let shutdown = Arc::clone(&conn_shutdown);
+        Acceptor::spawn(listener, move |s| handle_connection(s, &events, &shutdown))?
+    };
 
     let mut draining = false;
     let mut cache_health = CacheHealth {
@@ -356,7 +373,6 @@ pub fn run_service(
     // Startup pass: a service that was down past the age bound trims on
     // arrival instead of waiting for the first completion.
     cache_health.absorb(cache.evict(&opts.cache_eviction), opts.progress);
-    let mut runner_threads: Vec<std::thread::JoinHandle<()>> = Vec::new();
 
     loop {
         if opts.handle_signals && issa_core::campaign::interrupt::requested() {
@@ -372,7 +388,7 @@ pub fn run_service(
                 let Some(id) = registry.next_runnable() else {
                     break;
                 };
-                let handle = start_runner(
+                start_runner(
                     &mut registry,
                     &id,
                     &dirs,
@@ -382,7 +398,6 @@ pub fn run_service(
                     events_tx.clone(),
                 );
                 journal_state(&mut journal, &id, "running", "");
-                runner_threads.push(handle);
             }
         }
 
@@ -442,20 +457,21 @@ pub fn run_service(
         );
     }
     conn_shutdown.store(true, Ordering::SeqCst);
-    // Keep servicing control events (rejections, status) until every
-    // connection handler has noticed the shutdown flag and exited.
-    while !acceptor.is_finished() {
-        match events_rx.recv_timeout(Duration::from_millis(25)) {
-            Ok(Event::Control { reply, .. }) => {
+    // Keep answering control events until every connection handler has
+    // noticed the shutdown flag and exited: the channel disconnects once
+    // the last sender — the acceptor's, each handler's, each (detached)
+    // runner's — is gone. An acceptor that could not be woken keeps its
+    // sender for good, so then return at once: dropping the receiver
+    // fails the remaining handlers' sends.
+    if acceptor.stop() {
+        drop(events_tx);
+        while let Ok(event) = events_rx.recv() {
+            if let Event::Control { reply, .. } = event {
                 let _ = reply.send(error_response("service is shutting down", true));
             }
-            Ok(Event::Runner { .. }) | Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break,
         }
-    }
-    let _ = acceptor.join();
-    for t in runner_threads {
-        let _ = t.join();
+    } else {
+        eprintln!("warning: service acceptor could not be woken; connections not drained");
     }
     Ok(summary)
 }
@@ -540,8 +556,9 @@ impl Registry {
     }
 
     /// Rebuilds the registry from journal records. Non-terminal
-    /// submissions requeue; corners are re-derived from the journaled
-    /// params (the host is deterministic by contract).
+    /// submissions requeue; their corners, and only theirs, are
+    /// re-derived from the journaled params (the host is deterministic
+    /// by contract).
     fn replay(records: &[String], host: &dyn ServiceHost) -> Registry {
         let mut registry = Registry {
             subs: Vec::new(),
@@ -551,7 +568,7 @@ impl Registry {
             let mut fields = record.split(' ');
             match fields.next() {
                 Some("submit") => {
-                    let Some(sub) = parse_submit_record(&mut fields, host) else {
+                    let Some(sub) = parse_submit_record(&mut fields) else {
                         continue;
                     };
                     if let Some(seq) = sub.id.strip_prefix('c').and_then(|n| n.parse::<u64>().ok())
@@ -598,8 +615,9 @@ impl Registry {
         }
         // A submission whose params no longer produce corners (host
         // changed between incarnations) cannot be requeued honestly.
-        for sub in &mut registry.subs {
-            if !sub.state.terminal() && sub.corners.is_empty() {
+        for sub in registry.subs.iter_mut().filter(|s| !s.state.terminal()) {
+            sub.corners = host.corners(&sub.params).unwrap_or_default();
+            if sub.corners.is_empty() {
                 sub.state = SubState::Failed("params no longer valid after restart".into());
             }
         }
@@ -648,10 +666,10 @@ fn submit_record(sub: &Submission) -> String {
     )
 }
 
-fn parse_submit_record<'a>(
-    fields: &mut impl Iterator<Item = &'a str>,
-    host: &dyn ServiceHost,
-) -> Option<Submission> {
+/// Parses a `submit` record's fields. The corners are left empty:
+/// [`Registry::replay`] derives them once it knows the submission is
+/// still live.
+fn parse_submit_record<'a>(fields: &mut impl Iterator<Item = &'a str>) -> Option<Submission> {
     let id = fields.next()?.to_owned();
     let tenant = unescape(fields.next()?);
     let fingerprint = u64::from_str_radix(fields.next()?, 16).ok()?;
@@ -662,13 +680,12 @@ fn parse_submit_record<'a>(
     };
     let crash_attempts = fields.next().and_then(|n| n.parse().ok()).unwrap_or(0);
     let params = crate::control::parse(&params_text).ok()?;
-    let corners = host.corners(&params).unwrap_or_default();
     Some(Submission {
         id,
         tenant,
         fingerprint,
         params,
-        corners,
+        corners: Vec::new(),
         state: SubState::Queued,
         crashes: 0,
         cache_hit: false,
@@ -800,7 +817,7 @@ fn handle_request(
                 }
                 // The runner's Stopped outcome journals the cancel.
             } else {
-                sub.state = SubState::Cancelled;
+                sub.settle(SubState::Cancelled);
                 journal_state(journal, id, "cancelled", "");
             }
             ok_response(vec![("id".into(), Json::str(id))])
@@ -950,7 +967,7 @@ fn handle_runner_outcome(
                     cache_hit,
                     artifacts,
                 } => {
-                    sub.state = SubState::Completed;
+                    sub.settle(SubState::Completed);
                     sub.cache_hit = cache_hit;
                     sub.artifacts = artifacts;
                     sub.crashes = 0;
@@ -969,7 +986,7 @@ fn handle_runner_outcome(
                 }
                 RunnerOutcome::Stopped => {
                     if sub.cancel_requested {
-                        sub.state = SubState::Cancelled;
+                        sub.settle(SubState::Cancelled);
                         journal_state(journal, id, "cancelled", "");
                         if opts.progress {
                             eprintln!("service: {id} cancelled");
@@ -984,7 +1001,7 @@ fn handle_runner_outcome(
                     }
                 }
                 RunnerOutcome::Failed(reason) => {
-                    sub.state = SubState::Failed(reason.clone());
+                    sub.settle(SubState::Failed(reason.clone()));
                     journal_state(journal, id, "failed", &reason);
                     if opts.progress {
                         eprintln!("service: {id} failed: {reason}");
@@ -997,7 +1014,7 @@ fn handle_runner_outcome(
                             "quarantined after {} consecutive crashes; last: {msg}",
                             sub.crashes
                         );
-                        sub.state = SubState::Quarantined(reason.clone());
+                        sub.settle(SubState::Quarantined(reason.clone()));
                         journal_state(journal, id, "quarantined", &reason);
                         eprintln!("warning: service campaign {id}: {reason}");
                     } else {
@@ -1020,7 +1037,8 @@ fn handle_runner_outcome(
     }
 }
 
-/// Spawns the supervised runner for one submission.
+/// Spawns the supervised runner for one submission, detached: its last
+/// act is the outcome event, which is all the dispatcher waits for.
 fn start_runner(
     registry: &mut Registry,
     id: &str,
@@ -1029,7 +1047,7 @@ fn start_runner(
     host: Arc<dyn ServiceHost>,
     opts: &ServiceOptions,
     events: SyncSender<Event>,
-) -> std::thread::JoinHandle<()> {
+) {
     let sub = registry
         .get_mut(id)
         .expect("runnable id came from the registry");
@@ -1081,7 +1099,7 @@ fn start_runner(
             RunnerOutcome::Panicked(msg)
         });
         let _ = events.send(Event::Runner { id, outcome });
-    })
+    });
 }
 
 /// One supervised campaign attempt, on the runner thread.
@@ -1175,45 +1193,11 @@ fn run_one_attempt(
     }
 }
 
-/// Accept loop + per-connection handlers (all join before it returns).
-fn spawn_acceptor(
-    listener: TcpListener,
-    events: SyncSender<Event>,
-    shutdown: Arc<AtomicBool>,
-) -> Result<std::thread::JoinHandle<()>, DistError> {
-    listener.set_nonblocking(true)?;
-    Ok(std::thread::spawn(move || {
-        let mut handlers = Vec::new();
-        loop {
-            if shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            match listener.accept() {
-                Ok((stream, _addr)) => {
-                    let events = events.clone();
-                    let shutdown = Arc::clone(&shutdown);
-                    handlers.push(std::thread::spawn(move || {
-                        handle_connection(stream, &events, &shutdown);
-                    }));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(25));
-                }
-                Err(_) => break,
-            }
-        }
-        for h in handlers {
-            let _ = h.join();
-        }
-    }))
-}
-
 fn handle_connection(
     stream: std::net::TcpStream,
     events: &SyncSender<Event>,
     shutdown: &AtomicBool,
 ) {
-    let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
     let Ok(writer) = stream.try_clone() else {
         return;
@@ -1281,15 +1265,6 @@ mod tests {
 
     #[test]
     fn submit_record_round_trips_through_replay_parsing() {
-        struct NoCorners;
-        impl ServiceHost for NoCorners {
-            fn corners(&self, _params: &Json) -> Result<Vec<CampaignCorner>, String> {
-                Ok(Vec::new())
-            }
-            fn completed(&self, _: &SubmissionInfo, _: &CampaignReport) -> Vec<String> {
-                Vec::new()
-            }
-        }
         let sub = Submission {
             id: "c0042".into(),
             tenant: "team a/b".into(),
@@ -1310,13 +1285,129 @@ mod tests {
         let record = submit_record(&sub);
         let mut fields = record.split(' ');
         assert_eq!(fields.next(), Some("submit"));
-        let parsed = parse_submit_record(&mut fields, &NoCorners).unwrap();
+        let parsed = parse_submit_record(&mut fields).unwrap();
         assert_eq!(parsed.id, "c0042");
         assert_eq!(parsed.tenant, "team a/b");
         assert_eq!(parsed.fingerprint, sub.fingerprint);
         assert_eq!(parsed.params.render(), sub.params.render());
         assert_eq!(parsed.crash_after, Some(3));
         assert_eq!(parsed.crash_attempts, 1);
+    }
+
+    /// One smoke corner for any params; counts the calls.
+    #[derive(Default)]
+    struct CountingHost {
+        calls: std::sync::atomic::AtomicUsize,
+    }
+
+    impl ServiceHost for CountingHost {
+        fn corners(&self, _params: &Json) -> Result<Vec<CampaignCorner>, String> {
+            self.calls.fetch_add(1, Ordering::SeqCst);
+            Ok(vec![CampaignCorner {
+                name: "corner".into(),
+                cfg: issa_core::montecarlo::McConfig::smoke(
+                    issa_core::netlist::SaKind::Nssa,
+                    issa_core::workload::Workload::new(
+                        0.8,
+                        issa_core::workload::ReadSequence::AllZeros,
+                    ),
+                    issa_ptm45::Environment::nominal(),
+                    0.0,
+                    4,
+                ),
+            }])
+        }
+        fn completed(&self, _: &SubmissionInfo, _: &CampaignReport) -> Vec<String> {
+            Vec::new()
+        }
+    }
+
+    fn corner_counts(registry: &Registry) -> Vec<(String, &'static str, usize)> {
+        registry
+            .subs
+            .iter()
+            .map(|s| (s.id.clone(), s.state.word(), s.corners.len()))
+            .collect()
+    }
+
+    #[test]
+    fn terminal_submissions_hold_no_corners_before_and_after_replay() {
+        let dir =
+            std::env::temp_dir().join(format!("issa-service-unit-corners-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let dirs = ServiceDirs::create(&dir).unwrap();
+        let opts = ServiceOptions {
+            dir: dir.clone(),
+            ..ServiceOptions::default()
+        };
+        let host = CountingHost::default();
+        let cache = ResultCache::open(&dirs.cache).unwrap();
+        Journal::compact(&dirs.journal, &[]).unwrap();
+        let mut journal = Journal::open_append(&dirs.journal).unwrap();
+        let mut registry = Registry {
+            subs: Vec::new(),
+            next_seq: 1,
+        };
+        let mut summary = ServiceSummary::default();
+        let mut health = CacheHealth::default();
+        for tag in ["done", "cancelled", "queued"] {
+            let params = crate::control::parse(&format!(r#"{{"tag":"{tag}"}}"#)).unwrap();
+            let submit = ControlRequest::Submit {
+                tenant: "t".into(),
+                params,
+                crash_after: None,
+                crash_attempts: 0,
+            };
+            let reply = handle_request(
+                &mut registry,
+                &mut journal,
+                &host,
+                &opts,
+                false,
+                &cache,
+                &health,
+                &summary,
+                &submit,
+            );
+            assert!(reply.contains(r#""ok":true"#), "{reply}");
+        }
+        handle_runner_outcome(
+            &mut registry,
+            &mut journal,
+            &mut summary,
+            &mut health,
+            "c0001",
+            RunnerOutcome::Done {
+                cache_hit: false,
+                artifacts: Vec::new(),
+            },
+            &opts,
+        );
+        let cancel = ControlRequest::Cancel { id: "c0002".into() };
+        handle_request(
+            &mut registry,
+            &mut journal,
+            &host,
+            &opts,
+            false,
+            &cache,
+            &health,
+            &summary,
+            &cancel,
+        );
+        let expected = vec![
+            ("c0001".to_owned(), "completed", 0),
+            ("c0002".to_owned(), "cancelled", 0),
+            ("c0003".to_owned(), "queued", 1),
+        ];
+        assert_eq!(corner_counts(&registry), expected);
+
+        // Replay asks the host for the corners of the live submission only.
+        let replay_host = CountingHost::default();
+        let replayed = Registry::replay(&registry.snapshot_records(), &replay_host);
+        assert_eq!(corner_counts(&replayed), expected);
+        assert_eq!(replay_host.calls.load(Ordering::SeqCst), 1);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

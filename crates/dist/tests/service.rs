@@ -534,3 +534,23 @@ fn admission_control_rejects_explicitly_and_garbage_is_refused() {
     shutdown_and_join(addr, handle);
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+#[test]
+fn an_idle_service_returns_promptly_after_shutdown() {
+    let dir = temp_dir("prompt");
+    let (addr, handle) = start_service(&service_opts(&dir));
+    let health = request(addr, &ControlRequest::Health);
+    assert_eq!(health.get("ok").and_then(Json::as_bool), Some(true));
+
+    // No client stays connected, so nothing is left to wait for once
+    // the shutdown reply is out.
+    let start = Instant::now();
+    let summary = shutdown_and_join(addr, handle);
+    let took = start.elapsed();
+    assert!(
+        took < Duration::from_secs(1),
+        "run_service took {took:?} to return after shutdown"
+    );
+    assert_eq!(summary.completed + summary.parked, 0);
+    std::fs::remove_dir_all(&dir).unwrap();
+}

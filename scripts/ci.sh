@@ -299,6 +299,15 @@ trap 'rm -rf "$SMOKE_DIR" "$DIST_DIR" "$BATCH_DIR" "$CHAOS_DIR" "$SVC_DIR"' EXIT
     --wait >tail2.json
   grep -q '"cache_hit":true' tail2.json
   "$CAMPAIGN_BIN" shutdown --connect "$addr" >/dev/null
+  # The drain must end on its own: a lost acceptor wake would otherwise
+  # hang CI here instead of failing it.
+  for _ in $(seq 100); do kill -0 "$pid" 2>/dev/null || break; sleep 0.1; done
+  if kill -0 "$pid" 2>/dev/null; then
+    kill -9 "$pid"
+    wait "$pid" 2>/dev/null || true
+    echo "service soak: service still running 10 s after shutdown"
+    exit 1
+  fi
   wait "$pid"
   echo "service soak: replay byte-identical, duplicate cache_hit, corruption quarantined + recomputed, tail submit cached"
 )
