@@ -160,6 +160,28 @@ struct BranchState {
     i_prev: f64,
 }
 
+/// Where [`advance`] rewinds to on a failed rung: the iterate and the
+/// branch histories at the start of the step.
+#[derive(Debug, Default)]
+struct StepBackup {
+    x: Vec<f64>,
+    states: Vec<BranchState>,
+}
+
+impl StepBackup {
+    fn save(&mut self, x: &[f64], states: &[BranchState]) {
+        self.x.clear();
+        self.x.extend_from_slice(x);
+        self.states.clear();
+        self.states.extend_from_slice(states);
+    }
+
+    fn restore(&self, x: &mut [f64], states: &mut [BranchState]) {
+        x.copy_from_slice(&self.x);
+        states.copy_from_slice(&self.states);
+    }
+}
+
 /// Resolved early-exit check, tracking crossing state between base steps.
 /// Crate-visible so the batched lockstep engine ([`crate::batch`]) reuses
 /// the exact trigger logic per lane.
@@ -237,6 +259,7 @@ pub struct TranContext {
     states: Vec<BranchState>,
     ws: NewtonWorkspace,
     x: Vec<f64>,
+    backup: StepBackup,
     sample: Vec<f64>,
     trace: Trace,
 }
@@ -253,6 +276,7 @@ impl TranContext {
             states,
             ws: NewtonWorkspace::new(n),
             x: vec![0.0; n],
+            backup: StepBackup::default(),
             sample: Vec::new(),
             trace: Trace::new(Vec::new()),
         }
@@ -409,6 +433,7 @@ impl TranContext {
                 &mut self.states,
                 &mut self.x,
                 &mut self.ws,
+                &mut self.backup,
                 opts,
                 t,
                 t_target,
@@ -530,6 +555,8 @@ fn solve_step(
 /// on Newton failure: damped re-solve (rung 1), recursive halving with
 /// state rewind (rung 2), gmin continuation (rung 3). On failure the
 /// state is rewound to `t0` and the *original* solver error is returned.
+/// `backup` holds the rewind point; the base step passes the context's
+/// own, so a step allocates nothing once the buffers have grown.
 #[allow(clippy::too_many_arguments)]
 fn advance(
     netlist: &Netlist,
@@ -537,6 +564,7 @@ fn advance(
     states: &mut [BranchState],
     x: &mut [f64],
     ws: &mut NewtonWorkspace,
+    backup: &mut StepBackup,
     opts: NewtonOpts,
     t0: f64,
     t1: f64,
@@ -548,8 +576,7 @@ fn advance(
     let h = t1 - t0;
     debug_assert!(h > 0.0);
 
-    let x_backup = x.to_vec();
-    let states_backup = states.to_vec();
+    backup.save(x, states);
 
     // The first step of a run uses BE regardless, to bootstrap i_prev.
     let use_trap = matches!(integrator, Integrator::Trapezoidal) && !first_step;
@@ -560,7 +587,7 @@ fn advance(
     // progressively smaller max_step (classic SPICE damping escalation).
     if result.is_err() {
         for k in 1..=policy.damped_attempts {
-            x.copy_from_slice(&x_backup);
+            x.copy_from_slice(&backup.x);
             ws.counts.recoveries_damped += 1;
             let damped = NewtonOpts {
                 max_step: opts.max_step * policy.damp_scale.powi(k as i32),
@@ -578,18 +605,20 @@ fn advance(
 
     // Rung 2 — timestep halving: rewind the full state (iterate and
     // companion histories) and integrate the interval as two half steps,
-    // each of which walks its own ladder.
+    // each of which walks its own ladder (and rewinds to its own backup:
+    // this one must survive the half steps).
     if result.is_err() && halvings_left > 0 {
-        x.copy_from_slice(&x_backup);
-        states.copy_from_slice(&states_backup);
+        backup.restore(x, states);
         ws.counts.recoveries_dt_halved += 1;
         let tm = 0.5 * (t0 + t1);
+        let mut half_backup = StepBackup::default();
         let split = advance(
             netlist,
             branches,
             states,
             x,
             ws,
+            &mut half_backup,
             opts,
             t0,
             tm,
@@ -605,6 +634,7 @@ fn advance(
                 states,
                 x,
                 ws,
+                &mut half_backup,
                 opts,
                 tm,
                 t1,
@@ -617,10 +647,7 @@ fn advance(
         match split {
             // The half steps committed their own state; nothing left to do.
             Ok(()) => return Ok(()),
-            Err(_) => {
-                x.copy_from_slice(&x_backup);
-                states.copy_from_slice(&states_backup);
-            }
+            Err(_) => backup.restore(x, states),
         }
     }
 
@@ -630,7 +657,7 @@ fn advance(
     // converges — the accepted solution always satisfies the unmodified
     // system.
     if result.is_err() && policy.gmin_enabled() {
-        x.copy_from_slice(&x_backup);
+        x.copy_from_slice(&backup.x);
         ws.counts.recoveries_gmin += 1;
         let mut gmin = policy.gmin_start;
         let mut relaxed = true;
@@ -673,8 +700,7 @@ fn advance(
         }
         Err(e) => {
             ws.counts.recoveries_failed += 1;
-            x.copy_from_slice(&x_backup);
-            states.copy_from_slice(&states_backup);
+            backup.restore(x, states);
             Err(e)
         }
     }

@@ -16,7 +16,7 @@
 //! trace-extraction helpers, a lane engine whose per-lane IEEE operation
 //! sequence equals the scalar engine's), and each lane drives the same
 //! search state machines as the scalar path (`OffsetFsm` for the offset
-//! binary search, `DelayFsm` for the weighted delay, both in
+//! search, `DelayFsm` for the weighted delay, both in
 //! [`crate::probe`]), so a lane probes exactly the points
 //! [`SaInstance::offset_voltage_with`] would.
 //!
@@ -192,7 +192,7 @@ impl LaneJob {
         let sa = build_sample(cfg, index);
         let (fsm, drive) = match phase {
             PhaseKind::Offset => {
-                let fsm = OffsetFsm::new(&cfg.probe, search);
+                let fsm = OffsetFsm::new(&cfg.probe, sa.env.vdd, search);
                 let drive =
                     DriveSpec::offset_probe(0.0, &cfg.env, cfg.probe.t_enable, cfg.probe.edge);
                 (Fsm::Offset(fsm), drive)
@@ -256,12 +256,12 @@ impl LaneJob {
     fn advance(&mut self, runner: &BatchRunner, lane: usize, search: &mut OffsetSearch) -> Advance {
         let trace = runner.trace(lane);
         match &mut self.fsm {
-            Fsm::Offset(fsm) => match fsm.on_decision(regen_diff(trace) > 0.0) {
+            Fsm::Offset(fsm) => match fsm.on_probe(regen_diff(trace)) {
                 OffsetStep::Continue => Advance::Next,
-                OffsetStep::Done { result, flip_lo } => {
+                OffsetStep::Done { result, next } => {
                     // Update the lane's warm-start carrier exactly like
                     // the scalar search does on success.
-                    search.center = Some(flip_lo);
+                    *search = next;
                     Advance::Done(result)
                 }
                 OffsetStep::OutOfRange => Advance::Scalar,

@@ -42,10 +42,11 @@ use std::time::{Duration, Instant};
 /// Set by the SIGINT/SIGTERM handler; polled by the campaign watchdog.
 static INTERRUPTED: AtomicBool = AtomicBool::new(false);
 
-/// How often the watchdog looks at [`INTERRUPTED`]. A signal handler can
+/// How often the watchdog (and the campaign service's dispatcher) looks
+/// at [`INTERRUPTED`] while it watches for signals. A signal handler can
 /// only store to an atomic, not notify a condition variable, so signals
-/// are the one thing the watchdog polls for.
-const SIGNAL_TICK: Duration = Duration::from_millis(25);
+/// are the one thing either polls for.
+pub const SIGNAL_TICK: Duration = Duration::from_millis(25);
 
 #[cfg(unix)]
 mod signals {

@@ -730,8 +730,9 @@ fn guarded_sample(
 /// Runs one offset-phase sample under the full quarantine contract
 /// (fault-plan arming, per-sample watchdog, panic isolation, recovery
 /// attribution) — the entry point a distribution worker uses. Carrying
-/// one [`OffsetSearch`] across consecutive samples warm-starts the binary
-/// search; the carrier changes probe order, never the result.
+/// one [`OffsetSearch`] across consecutive samples starts each search at
+/// the previous flip cell and gain; the carrier changes probe order, never
+/// the result.
 pub fn run_offset_sample_with(
     cfg: &McConfig,
     index: usize,
@@ -925,7 +926,7 @@ pub fn run_mc_controlled(cfg: &McConfig, ctl: &McControl<'_>) -> Result<McResult
     // Phase 1 — offsets. Each sample is fully determined by its index, so
     // the loop splits into independent strided shards that merge by index.
     // Each shard threads one OffsetSearch through its samples: the search
-    // warm-starts from the previous flip cell, which changes the probe
+    // starts from the previous flip cell and gain, which changes the probe
     // order but not the result (the flip cell on the fixed search grid is
     // unique), so the offsets stay identical for any thread count — and a
     // quarantined or restored sample cannot perturb its shard-mates for

@@ -4,10 +4,13 @@
 //!
 //! - **Offset voltage** (Section II-C): "the offset voltage of one
 //!   specific sample is determined using a binary search on its inputs".
-//!   Each binary-search probe is a regeneration transient: the bitlines
-//!   hold a differential `vin`, the internal nodes start precharged to the
+//!   Each search probe is a regeneration transient: the bitlines hold a
+//!   differential `vin`, the internal nodes start precharged to the
 //!   bitline values, SAenable rises, and the latch resolves one way or the
-//!   other. The offset is the `vin` at which the decision flips.
+//!   other. The offset is the `vin` at which the decision flips: the grid
+//!   cell a binary search would end on, which the default search reaches
+//!   in fewer probes by reading how far each probe's latch moved (see
+//!   [`OffsetFsm`]).
 //!
 //! - **Sensing delay** (Section IV-A): "the time between the activation of
 //!   the SA (when SAenable rises to 50 % of Vdd) and when the result is
@@ -66,10 +69,13 @@ pub struct ProbeOptions {
     pub t_settle: f64,
     /// Developed bitline swing for delay probes \[V\].
     pub swing: f64,
-    /// Warm-start the offset search from the previous sample's flip cell
-    /// (see [`OffsetSearch`]). Changes which grid points are probed but
-    /// not the result: the search grid is fixed, and the returned offset
-    /// is the unique cell where the decision flips.
+    /// Guide the offset search by the probes' end differentials and by
+    /// the previous sample's flip cell and local gain (see [`OffsetFsm`]
+    /// and [`OffsetSearch`]); off, it is the cold bisection on the
+    /// decision alone. Changes which grid points are probed, at most
+    /// `2·(2 + log2 n)` of them, but not the result: the search grid is
+    /// fixed, and the returned offset is the unique cell where the
+    /// decision flips.
     pub warm_start: bool,
     /// Stop probe transients as soon as the measurement is decided
     /// (regeneration past the resolve threshold, output crossing found)
@@ -274,12 +280,6 @@ impl OffsetGrid {
         -self.vin_max + i as f64 * self.step
     }
 
-    /// Warm-window half-width around the previous flip cell: ±(n/16)
-    /// cells, at least one.
-    fn half_window(self) -> i64 {
-        (self.n / 16).max(1)
-    }
-
     /// Measured offset once the search has narrowed to `[lo, hi]`:
     /// the flip point of `vin`, positive = biased toward One.
     fn offset(self, lo: i64, hi: i64) -> f64 {
@@ -305,206 +305,370 @@ impl ProbeContext {
     }
 }
 
-/// Warm-start carrier for the offset search.
+/// Warm-start carrier for the guided offset search.
 ///
-/// The search happens on a fixed dyadic grid over `[−vin_max, +vin_max]`
+/// The search runs on a fixed dyadic grid over `[−vin_max, +vin_max]`
 /// whose cell width is the largest power-of-two division of the bracket
 /// not exceeding `offset_tol`. The measured offset is determined by the
 /// unique grid cell in which the sense decision flips, so *any* probe
-/// order that brackets and bisects to that cell returns the bit-identical
-/// value — which is what makes warm-starting (and sharding samples across
-/// threads) safe. The carrier remembers the previous sample's flip cell;
-/// the next search first tries a window around it and only falls back to
-/// the full bracket when the window misses.
-#[derive(Debug, Clone, Copy, Default)]
+/// order that ends on two adjacent grid points with different decisions
+/// returns the bit-identical value — which is what makes warm starts
+/// (and sharding samples across threads and lanes) safe. The carrier
+/// remembers two things about the previous sample: its flip cell, where
+/// the next search probes first, and the local gain across that cell —
+/// how much a probe's end differential `V(S) − V(SBar)` changes from one
+/// grid point to the next — which turns the next search's first
+/// differential into a predicted distance to its flip. A wrong or stale
+/// carrier costs probes, never bits: whatever it holds, a search takes
+/// at most `2·(2 + log2 n)` probes and ends on the same cell (see
+/// [`OffsetFsm`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct OffsetSearch {
     /// Lower index of the previous flip cell on the search grid
     /// (crate-visible so the batched scheduler's per-lane carriers update
     /// it exactly like the scalar search does).
     pub(crate) center: Option<i64>,
+    /// End differential per grid cell across the previous flip cell
+    /// \[V\], signed: positive when the differential rises with `vin`.
+    pub(crate) gain: Option<f64>,
 }
 
-/// Outcome of one [`OffsetFsm`] decision.
+/// Outcome of one [`OffsetFsm`] step.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum OffsetStep {
     /// Probe [`OffsetFsm::current_probe`] next.
     Continue,
-    /// Search finished: the measured offset and the flip cell's lower
-    /// index (the next warm-start center).
-    Done { result: f64, flip_lo: i64 },
-    /// No flip within ±vin_max ([`SaError::OffsetOutOfRange`]).
+    /// Search finished: the measured offset and the carrier for the next
+    /// search (this flip cell and its gain).
+    Done { result: f64, next: OffsetSearch },
+    /// No flip within ±vin_max ([`SaError::OffsetOutOfRange`]): grid
+    /// points `0` and `n` gave the same decision.
     OutOfRange,
 }
 
-/// The offset binary search as an explicit state machine, one probe per
-/// step. It is the only implementation of the search: the scalar
+/// The offset search as an explicit state machine, one probe per step.
+/// It is the only implementation of the search: the scalar
 /// [`SaInstance::offset_voltage_with`] and the batched lane scheduler
 /// ([`crate::batch`]) both drive it the same way — probe
-/// [`OffsetFsm::current_vin`], feed the decision (`diff > 0`) to
-/// [`OffsetFsm::on_decision`], repeat until it is not
+/// [`OffsetFsm::current_vin`], feed the probe's end differential to
+/// [`OffsetFsm::on_probe`], repeat until it is not
 /// [`OffsetStep::Continue`].
 ///
-/// Probe order: a cold search probes grid points `0` and `n`, then
-/// bisects. A warm search (see [`OffsetSearch`]) first probes a
-/// ±(n/16)-cell window `[wlo, whi]` around the previous flip cell — for
-/// a Monte Carlo population that window (~12 % of the full bracket)
-/// almost always contains the next flip, cutting the bisection by
-/// several probes. When the window misses, the search falls back to the
-/// full bracket, reusing a window probe that already sits on an endpoint
-/// (`wlo == 0` gives `d(0)`, `whi == n` gives `d(n)`), and bisects the
-/// side of the window the flip must be on.
+/// A search ends when two adjacent grid points disagree, and reports
+/// [`OffsetStep::OutOfRange`] only once grid points `0` and `n` were both
+/// probed and agree. Under a monotone flip every probe order therefore
+/// returns the same cell; only the number of probes depends on the order.
+///
+/// - **Cold** (`warm_start` off — the reference oracle of
+///   [`ProbeOptions::reference`]): probe grid points `0` and `n`, then
+///   bisect on the decision alone.
+/// - **Guided** (`warm_start` on): probe the carried flip cell (grid
+///   point `0` when there is none). While every probe has given the same
+///   decision, step away from them toward the side the gain points to, by
+///   the distance it predicts (`|diff| / |gain|` cells, rounded up; from a
+///   saturated probe that is only a lower bound, so at least twice the
+///   previous step). With no gain, once the grid end on that side agrees,
+///   or once the grid ends plus a full bisection would no longer fit in
+///   the budget after a guided step, probe the grid ends. Inside a
+///   bracket, run Illinois regula falsi on the two ends' differentials,
+///   or a Newton step on the gain from the one end that is not saturated
+///   (capped at the secant through the saturated end, which overshoots
+///   toward it), rounded to the nearest interior grid point. Bisect when
+///   both ends are saturated, when two probes in a row fail to halve the
+///   bracket, and whenever an interpolated probe could leave too few
+///   probes to finish by bisection within the budget.
+///
+/// The gain starts as the carried one and becomes the slope between the
+/// two most recent unsaturated probes as soon as there are two. A probe
+/// whose differential reaches `resolve_fraction · vdd` (the early-exit
+/// threshold) is read for its sign only. Every guided probe lies outside
+/// the span of same-decision probes or strictly inside the bracket, so no
+/// grid point is probed twice, and the two budget guards hold every
+/// search to at most `2·(2 + log2 n)` probes, the cold bisection's
+/// `2 + log2 n` plus as many again.
 pub(crate) struct OffsetFsm {
     grid: OffsetGrid,
+    /// End differentials at or beyond this magnitude \[V\] are read for
+    /// their sign only.
+    saturation: f64,
+    /// Reference mode: grid ends, then bisection on the decision alone.
+    cold: bool,
+    /// Probes answered so far, and the most one search may take.
+    spent: u32,
+    budget: u32,
+    /// Gain estimate \[V per cell\]: carried, then learned.
+    gain: Option<f64>,
+    /// The most recent unsaturated probe, for the learned gain.
+    last_unsat: Option<Probe>,
+    /// The grid point the search is waiting on.
+    next: i64,
     state: OffsetState,
 }
 
-/// Warm-window probes remembered for the fallback bracket choice.
-#[derive(Clone, Copy)]
-struct WarmWindow {
-    wlo: i64,
-    whi: i64,
-    dl: bool,
+/// One answered probe: grid index and end differential \[V\].
+#[derive(Debug, Clone, Copy)]
+struct Probe {
+    i: i64,
+    diff: f64,
+}
+
+impl Probe {
+    /// The sense decision (internal state 1).
+    fn decision(self) -> bool {
+        self.diff > 0.0
+    }
 }
 
 enum OffsetState {
-    /// Warm path: probing the window's low end `wlo`.
-    WarmLo { wlo: i64, whi: i64 },
-    /// Warm path: probing the window's high end `whi`.
-    WarmHi { wlo: i64, whi: i64, dl: bool },
-    /// Window missed: probing grid point 0 (only reached when `wlo > 0`).
-    FullLo { warm: WarmWindow, dh: bool },
-    /// Probing grid point `n`: the cold path's second probe
-    /// (`warm == None`) or the window fallback's (`warm == Some`, only
-    /// when `whi < n`).
-    FullHi { d0: bool, warm: Option<WarmWindow> },
-    /// Cold path: probing grid point 0.
-    ColdLo,
-    /// Bracket established: probing `mid = lo + (hi - lo) / 2`.
-    Bisect { lo: i64, hi: i64, d_lo: bool },
+    /// No probe answered yet.
+    Start,
+    /// Every probe so far gave the same decision; they span `[lo, hi]`,
+    /// so the flip lies outside it. `step` is the last step in cells.
+    Span { lo: Probe, hi: Probe, step: i64 },
+    /// `lo` and `hi` disagree: the flip lies between them.
+    Bracket(Bracket),
+}
+
+#[derive(Clone, Copy)]
+struct Bracket {
+    lo: Probe,
+    hi: Probe,
+    /// Illinois weights on the ends' differentials: halved each time an
+    /// end survives a second probe in a row.
+    w_lo: f64,
+    w_hi: f64,
+    /// Which end the previous probe left in place (`true`: `hi`).
+    kept_hi: Option<bool>,
+    /// Width when the bracket last halved, and probes since then.
+    width_ref: i64,
+    stalls: u32,
+}
+
+impl Bracket {
+    fn new(lo: Probe, hi: Probe) -> Self {
+        Bracket {
+            lo,
+            hi,
+            w_lo: 1.0,
+            w_hi: 1.0,
+            kept_hi: None,
+            width_ref: hi.i - lo.i,
+            stalls: 0,
+        }
+    }
+
+    fn width(&self) -> i64 {
+        self.hi.i - self.lo.i
+    }
+
+    /// Replaces the end that agrees with `p`.
+    fn narrow(mut self, p: Probe) -> Self {
+        if p.decision() == self.lo.decision() {
+            self.lo = p;
+            self.w_lo = 1.0;
+            if self.kept_hi == Some(true) {
+                self.w_hi *= 0.5;
+            }
+            self.kept_hi = Some(true);
+        } else {
+            self.hi = p;
+            self.w_hi = 1.0;
+            if self.kept_hi == Some(false) {
+                self.w_lo *= 0.5;
+            }
+            self.kept_hi = Some(false);
+        }
+        if 2 * self.width() <= self.width_ref {
+            self.width_ref = self.width();
+            self.stalls = 0;
+        } else {
+            self.stalls += 1;
+        }
+        self
+    }
+}
+
+/// Bisection probes that narrow a bracket of `width` cells to one.
+fn bisections(width: i64) -> u32 {
+    if width <= 1 {
+        0
+    } else {
+        u64::BITS - (width as u64 - 1).leading_zeros()
+    }
 }
 
 impl OffsetFsm {
-    /// Starts a search on the grid of `opts`, warm from `search` when
-    /// `opts.warm_start` is set and a previous flip cell is known.
+    /// Starts a search on the grid of `opts` for an instance at supply
+    /// `vdd`, guided by `search` when `opts.warm_start` is set.
     ///
     /// # Panics
     ///
     /// Panics if `opts.offset_tol` or `opts.vin_max` is not positive.
-    pub(crate) fn new(opts: &ProbeOptions, search: &OffsetSearch) -> Self {
+    pub(crate) fn new(opts: &ProbeOptions, vdd: f64, search: &OffsetSearch) -> Self {
         let grid = OffsetGrid::from_opts(opts);
-        let state = match search.center.filter(|_| opts.warm_start) {
-            Some(c) => {
-                let half_window = grid.half_window();
-                let c = c.clamp(0, grid.n - 1);
-                OffsetState::WarmLo {
-                    wlo: (c - half_window).max(0),
-                    whi: (c + 1 + half_window).min(grid.n),
-                }
-            }
-            None => OffsetState::ColdLo,
+        let cold = !opts.warm_start;
+        let next = match search.center.filter(|_| !cold) {
+            Some(c) => c.clamp(0, grid.n),
+            None => 0,
         };
-        OffsetFsm { grid, state }
-    }
-
-    /// Grid index of the probe the current state is waiting on.
-    pub(crate) fn current_probe(&self) -> i64 {
-        match self.state {
-            OffsetState::WarmLo { wlo, .. } => wlo,
-            OffsetState::WarmHi { whi, .. } => whi,
-            OffsetState::FullLo { .. } | OffsetState::ColdLo => 0,
-            OffsetState::FullHi { .. } => self.grid.n,
-            OffsetState::Bisect { lo, hi, .. } => lo + (hi - lo) / 2,
+        OffsetFsm {
+            grid,
+            saturation: opts.resolve_fraction * vdd,
+            cold,
+            spent: 0,
+            budget: 2 * (2 + grid.n.trailing_zeros()),
+            gain: search.gain.filter(|_| !cold),
+            last_unsat: None,
+            next,
+            state: OffsetState::Start,
         }
     }
 
-    /// Input differential of the probe the current state is waiting on.
+    /// Grid index of the probe the search is waiting on.
+    pub(crate) fn current_probe(&self) -> i64 {
+        self.next
+    }
+
+    /// Input differential of the probe the search is waiting on.
     pub(crate) fn current_vin(&self) -> f64 {
         self.grid.value(self.current_probe())
     }
 
-    /// Feeds the current probe's decision (`diff > 0`) into the search.
-    pub(crate) fn on_decision(&mut self, d: bool) -> OffsetStep {
-        match self.state {
-            OffsetState::WarmLo { wlo, whi } => {
-                self.state = OffsetState::WarmHi { wlo, whi, dl: d };
-                OffsetStep::Continue
-            }
-            OffsetState::WarmHi { wlo, whi, dl } => {
-                let dh = d;
-                let warm = WarmWindow { wlo, whi, dl };
-                if dl != dh {
-                    self.enter_bisect(wlo, whi, dl)
-                } else if wlo > 0 {
-                    self.state = OffsetState::FullLo { warm, dh };
-                    OffsetStep::Continue
-                } else if whi < self.grid.n {
-                    // wlo == 0: the window's low probe *is* d0.
-                    self.state = OffsetState::FullHi {
-                        d0: dl,
-                        warm: Some(warm),
-                    };
-                    OffsetStep::Continue
+    /// Feeds the current probe's end differential `V(S) − V(SBar)` into
+    /// the search; its decision is `diff > 0`.
+    pub(crate) fn on_probe(&mut self, diff: f64) -> OffsetStep {
+        let p = Probe { i: self.next, diff };
+        self.spent += 1;
+        self.learn(p);
+        self.state = match self.state {
+            OffsetState::Start => OffsetState::Span {
+                lo: p,
+                hi: p,
+                step: 0,
+            },
+            OffsetState::Span { lo, hi, .. } if p.decision() == lo.decision() => {
+                let (lo, hi, step) = if p.i < lo.i {
+                    (p, hi, lo.i - p.i)
                 } else {
-                    // Window spans the whole grid: both endpoints known.
-                    self.resolve_fallback(warm, dl, dh)
+                    (lo, p, p.i - hi.i)
+                };
+                if lo.i == 0 && hi.i == self.grid.n {
+                    return OffsetStep::OutOfRange;
                 }
+                OffsetState::Span { lo, hi, step }
             }
-            OffsetState::FullLo { warm, dh } => {
-                let d0 = d;
-                if warm.whi < self.grid.n {
-                    self.state = OffsetState::FullHi {
-                        d0,
-                        warm: Some(warm),
-                    };
-                    OffsetStep::Continue
-                } else {
-                    // whi == n: the window's high probe *is* dn.
-                    self.resolve_fallback(warm, d0, dh)
-                }
+            OffsetState::Span { lo, hi, .. } => OffsetState::Bracket(if p.i < lo.i {
+                Bracket::new(p, lo)
+            } else {
+                Bracket::new(hi, p)
+            }),
+            OffsetState::Bracket(b) => OffsetState::Bracket(b.narrow(p)),
+        };
+        self.next = match &self.state {
+            OffsetState::Bracket(b) if b.width() == 1 => return self.done(b),
+            OffsetState::Bracket(b) => self.interior(b),
+            OffsetState::Span { lo, hi, step } => self.expand(*lo, *hi, *step),
+            OffsetState::Start => unreachable!("a probe was just answered"),
+        };
+        OffsetStep::Continue
+    }
+
+    /// Read for its sign only: at or past the early-exit threshold, or
+    /// not a number.
+    fn saturated(&self, p: Probe) -> bool {
+        p.diff.is_nan() || p.diff.abs() >= self.saturation
+    }
+
+    /// Updates the gain to the slope between `p` and the previous
+    /// unsaturated probe.
+    fn learn(&mut self, p: Probe) {
+        if self.saturated(p) {
+            return;
+        }
+        if let Some(q) = self.last_unsat {
+            let slope = (p.diff - q.diff) / (p.i - q.i) as f64;
+            if slope != 0.0 && slope.is_finite() {
+                self.gain = Some(slope);
             }
-            OffsetState::FullHi { d0, warm } => {
-                let dn = d;
-                match warm {
-                    Some(w) => self.resolve_fallback(w, d0, dn),
-                    None if d0 == dn => OffsetStep::OutOfRange,
-                    None => self.enter_bisect(0, self.grid.n, d0),
-                }
-            }
-            OffsetState::ColdLo => {
-                self.state = OffsetState::FullHi { d0: d, warm: None };
-                OffsetStep::Continue
-            }
-            OffsetState::Bisect { lo, hi, d_lo } => {
-                let mid = lo + (hi - lo) / 2;
-                let (lo, hi) = if d == d_lo { (mid, hi) } else { (lo, mid) };
-                self.enter_bisect(lo, hi, d_lo)
-            }
+        }
+        self.last_unsat = Some(p);
+    }
+
+    /// Next probe while every probe agrees: outside `[lo, hi]`.
+    fn expand(&self, lo: Probe, hi: Probe, step: i64) -> i64 {
+        let n = self.grid.n;
+        // A guided probe is taken only while the grid ends plus a full
+        // bisection would still fit in the budget after it.
+        let affordable = self.spent + 3 + n.trailing_zeros() <= self.budget;
+        let Some(gain) = self.gain.filter(|_| !self.cold && affordable) else {
+            return if lo.i > 0 { 0 } else { n };
+        };
+        // The differential heads for zero on the side where its sign
+        // and the gain's disagree.
+        let up = lo.decision() != (gain > 0.0);
+        let from = if up { hi } else { lo };
+        if (up && hi.i == n) || (!up && lo.i == 0) {
+            // That grid end agrees: the flip can only be beyond the other.
+            return if up { 0 } else { n };
+        }
+        // From a saturated probe the prediction is only a lower bound on
+        // the distance: expand geometrically.
+        let predicted = (from.diff / gain).abs().ceil();
+        let least = if self.saturated(from) { 2 * step } else { 1 };
+        let step = if predicted < n as f64 {
+            (predicted as i64).max(least).max(1)
+        } else {
+            n
+        };
+        if up {
+            (from.i + step).min(n)
+        } else {
+            (from.i - step).max(0)
         }
     }
 
-    /// The warm-window fallback: full-bracket endpoints `d0`/`dn` known,
-    /// pick the side of the window the flip must be on.
-    fn resolve_fallback(&mut self, w: WarmWindow, d0: bool, dn: bool) -> OffsetStep {
-        if d0 == dn {
-            OffsetStep::OutOfRange
-        } else if w.dl == d0 {
-            self.enter_bisect(w.whi, self.grid.n, w.dl)
+    /// Next probe inside a bracket at least two cells wide.
+    fn interior(&self, b: &Bracket) -> i64 {
+        let (lo, hi) = (b.lo, b.hi);
+        let mid = lo.i + b.width() / 2;
+        if self.cold || b.stalls >= 2 || self.spent + 1 + bisections(b.width() - 1) > self.budget {
+            return mid;
+        }
+        let x = match (self.saturated(lo), self.saturated(hi)) {
+            (false, false) => {
+                let (f_lo, f_hi) = (lo.diff * b.w_lo, hi.diff * b.w_hi);
+                lo.i as f64 + b.width() as f64 * f_lo / (f_lo - f_hi)
+            }
+            (true, true) => return mid,
+            (lo_saturated, _) => {
+                let (u, s) = if lo_saturated { (hi, lo) } else { (lo, hi) };
+                let toward = (s.i - u.i) as f64;
+                let secant = toward * u.diff / (u.diff - s.diff);
+                match self.gain.map(|g| -u.diff / g) {
+                    Some(newton) if newton * toward > 0.0 && newton.abs() < secant.abs() => {
+                        u.i as f64 + newton
+                    }
+                    _ => u.i as f64 + secant,
+                }
+            }
+        };
+        if x.is_finite() {
+            (x.round() as i64).clamp(lo.i + 1, hi.i - 1)
         } else {
-            self.enter_bisect(0, w.wlo, d0)
+            mid
         }
     }
 
-    /// Continues bisection of `[lo, hi]` (`d(lo) == d_lo != d(hi)`), or
-    /// finishes when the bracket is one cell wide.
-    fn enter_bisect(&mut self, lo: i64, hi: i64, d_lo: bool) -> OffsetStep {
-        if hi - lo > 1 {
-            self.state = OffsetState::Bisect { lo, hi, d_lo };
-            OffsetStep::Continue
-        } else {
-            OffsetStep::Done {
-                result: self.grid.offset(lo, hi),
-                flip_lo: lo,
-            }
+    /// The finished search: its offset and the carrier for the next one.
+    fn done(&self, b: &Bracket) -> OffsetStep {
+        let pair_gain =
+            (!self.saturated(b.lo) && !self.saturated(b.hi)).then_some(b.hi.diff - b.lo.diff);
+        OffsetStep::Done {
+            result: self.grid.offset(b.lo.i, b.hi.i),
+            next: OffsetSearch {
+                center: Some(b.lo.i),
+                gain: pair_gain.or(self.gain),
+            },
         }
     }
 }
@@ -679,16 +843,17 @@ impl SaInstance {
     ) -> Result<f64, SaError> {
         let drive = DriveSpec::offset_probe(0.0, &self.env, opts.t_enable, opts.edge);
         let mut ctx = ProbeContext::new(self, &drive);
-        let mut fsm = OffsetFsm::new(opts, search);
+        let mut fsm = OffsetFsm::new(opts, self.env.vdd, search);
         loop {
-            // Near the metastable point resolution is slow, so classify
-            // by the sign of the differential.
+            // Near the metastable point resolution is slow, so the search
+            // reads the decision from the sign of the end differential
+            // and places the next probe from its size.
             let (v_bl, v_blbar) = offset_drive_levels(fsm.current_vin(), self.env.vdd);
             let diff = self.regenerate(&mut ctx, v_bl, v_blbar, opts.t_enable, opts, 1.0)?;
-            match fsm.on_decision(diff > 0.0) {
+            match fsm.on_probe(diff) {
                 OffsetStep::Continue => {}
-                OffsetStep::Done { result, flip_lo } => {
-                    search.center = Some(flip_lo);
+                OffsetStep::Done { result, next } => {
+                    *search = next;
                     return Ok(result);
                 }
                 OffsetStep::OutOfRange => {
@@ -961,93 +1126,296 @@ mod tests {
         );
     }
 
-    /// Drives `fsm` against the decision function `d` (no solver):
-    /// returns the final step and every grid point probed, in order.
-    fn drive(mut fsm: OffsetFsm, d: impl Fn(i64) -> bool) -> (OffsetStep, Vec<i64>) {
+    /// Drives `fsm` against the synthetic end differential `f` (no
+    /// solver): returns the final step and every grid point probed, in
+    /// order.
+    fn drive(mut fsm: OffsetFsm, f: impl Fn(i64) -> f64) -> (OffsetStep, Vec<i64>) {
         let mut probes = Vec::new();
         loop {
-            probes.push(fsm.current_probe());
-            let step = fsm.on_decision(d(fsm.current_probe()));
+            let i = fsm.current_probe();
+            probes.push(i);
+            let step = fsm.on_probe(f(i));
             if step != OffsetStep::Continue {
                 return (step, probes);
             }
         }
     }
 
-    /// Bisection probes that narrow `[lo, hi]` to the flip cell `k`.
-    fn bisect_probes(lo: i64, hi: i64, k: i64) -> usize {
-        if hi - lo == 1 {
-            return 0;
+    /// Synthetic end differentials on a grid with a flip at `root` (a
+    /// grid coordinate), rising with the index at `gain` volts per cell
+    /// (falling when `gain` is negative). The saturation level of
+    /// `search_opts` is 0.6 V at the 1 V supply the tests use.
+    #[derive(Debug, Clone, Copy)]
+    enum Response {
+        Linear,
+        /// `0.7·tanh(gain·x / 0.7)`: linear near the flip, flat (and
+        /// read as sign-only) beyond ±0.6 V.
+        Tanh,
+        /// ±0.6 V everywhere: the sign and nothing else.
+        SignOnly,
+    }
+
+    impl Response {
+        fn at(self, i: i64, root: f64, gain: f64) -> f64 {
+            let x = i as f64 - root;
+            match self {
+                Response::Linear => gain * x,
+                Response::Tanh => 0.7 * (gain * x / 0.7).tanh(),
+                Response::SignOnly => 0.6 * (gain * x).signum(),
+            }
         }
-        let mid = lo + (hi - lo) / 2;
-        1 + if k < mid {
-            bisect_probes(lo, mid, k)
-        } else {
-            bisect_probes(mid, hi, k)
+    }
+
+    const VDD: f64 = 1.0;
+
+    fn search_opts(offset_tol: f64) -> ProbeOptions {
+        ProbeOptions {
+            vin_max: 0.3,
+            offset_tol,
+            ..ProbeOptions::default()
+        }
+    }
+
+    /// Checks one guided search against the cold bisection on the same
+    /// response: same step (result and flip cell), no grid point probed
+    /// twice, at most `2·(2 + log2 n)` probes. Returns the probe count.
+    fn check_against_cold(
+        opts: &ProbeOptions,
+        search: &OffsetSearch,
+        f: &dyn Fn(i64) -> f64,
+        case: &str,
+    ) -> usize {
+        let grid = OffsetGrid::from_opts(opts);
+        let budget = 2 * (2 + grid.n.trailing_zeros()) as usize;
+        let cold_opts = opts.reference();
+        let (cold, cold_probes) = drive(OffsetFsm::new(&cold_opts, VDD, search), f);
+        assert_eq!(
+            cold_probes.len(),
+            2 + grid.n.trailing_zeros() as usize,
+            "{case}: cold bisection probes {cold_probes:?}"
+        );
+        let (step, probes) = drive(OffsetFsm::new(opts, VDD, search), f);
+        match (step, cold) {
+            (
+                OffsetStep::Done { result, next },
+                OffsetStep::Done {
+                    result: cold_result,
+                    next: cold_next,
+                },
+            ) => {
+                assert_eq!(result.to_bits(), cold_result.to_bits(), "{case}");
+                assert_eq!(next.center, cold_next.center, "{case}");
+            }
+            other => panic!("{case}: {other:?}"),
+        }
+        assert!(
+            probes.len() <= budget,
+            "{case}: {} probes {probes:?}",
+            probes.len()
+        );
+        let mut distinct = probes.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), probes.len(), "{case}: re-probed {probes:?}");
+        probes.len()
+    }
+
+    /// Every guided-search case on one grid: each response shape in both
+    /// directions and at the carried gain or ten times it, each carried
+    /// gain (none, right, wrong sign), each flip cell in `flips`, each
+    /// carried center `centers(flip)` yields.
+    fn guided_search_table(
+        offset_tol: f64,
+        gain: f64,
+        flips: impl Iterator<Item = i64> + Clone,
+        centers: impl Fn(i64) -> Vec<Option<i64>>,
+    ) -> usize {
+        let opts = search_opts(offset_tol);
+        let mut searches = 0;
+        for shape in [Response::Linear, Response::Tanh, Response::SignOnly] {
+            for direction in [1.0, -1.0] {
+                let carried = direction * gain;
+                for true_gain in [carried, 10.0 * carried] {
+                    for k in flips.clone() {
+                        let root = k as f64 + 0.37;
+                        let f = move |i: i64| shape.at(i, root, true_gain);
+                        for center in centers(k) {
+                            for gain in [None, Some(carried), Some(-carried)] {
+                                let case = format!(
+                                    "{shape:?} gain {true_gain} flip {k} center {center:?} \
+                                     carried {gain:?}"
+                                );
+                                let search = OffsetSearch { center, gain };
+                                check_against_cold(&opts, &search, &f, &case);
+                                searches += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        searches
+    }
+
+    #[test]
+    fn guided_search_matches_cold_bisection_on_a_16_cell_grid() {
+        // 16 cells over ±0.3 V; a gain of 0.1 V per cell keeps a few
+        // cells around the flip below saturation.
+        let n = 16;
+        assert_eq!(OffsetGrid::from_opts(&search_opts(0.05)).n, n);
+        let centers = |_| {
+            std::iter::once(None)
+                .chain((-2..n + 2).map(Some))
+                .collect::<Vec<_>>()
+        };
+        let searches = guided_search_table(0.05, 0.1, 0..n, centers);
+        assert_eq!(searches, 3 * 2 * 2 * 16 * 21 * 3);
+    }
+
+    #[test]
+    fn guided_search_matches_cold_bisection_on_a_4096_cell_grid() {
+        // The fast-profile grid (4096 cells of 146 µV). Every flip cell,
+        // with the carried center absent, out of the grid, at either
+        // end, or near and far from the flip; the full sweep of centers
+        // runs on the 16-cell grid.
+        let n = 4096;
+        assert_eq!(OffsetGrid::from_opts(&search_opts(2e-4)).n, n);
+        let centers = |k: i64| {
+            let mut c = vec![None, Some(-3), Some(0), Some(n - 1), Some(n + 3)];
+            c.extend(
+                [0, 1, -2, 5, -40, 300, -1500]
+                    .iter()
+                    .map(|d| k + d)
+                    .filter(|c| (0..n).contains(c))
+                    .map(Some),
+            );
+            c
+        };
+        // 2.7 mV per cell: about the real circuit's gain at this grid.
+        guided_search_table(2e-4, 0.0027, 0..n, centers);
+    }
+
+    #[test]
+    fn guided_search_finds_a_nearby_flip_in_three_probes() {
+        // The Monte Carlo case: the right gain and a carried center
+        // within 50 cells (7 mV) of the flip, where the response is close
+        // to linear (it falls short of it by about 1 %, under a cell).
+        let opts = search_opts(2e-4);
+        let gain = 0.0027;
+        let center = 2000;
+        for shift in -50..=50 {
+            let root = f64::from(center + shift) + 0.37;
+            let f = |i: i64| Response::Tanh.at(i, root, gain);
+            let search = OffsetSearch {
+                center: Some(i64::from(center)),
+                gain: Some(gain),
+            };
+            let case = format!("shift {shift}");
+            let probes = check_against_cold(&opts, &search, &f, &case);
+            assert!(probes <= 3, "{case}: {probes} probes");
         }
     }
 
     #[test]
-    fn offset_fsm_exhaustive_table_on_a_16_cell_grid() {
-        let base = ProbeOptions {
-            vin_max: 0.3,
-            offset_tol: 0.05,
-            ..ProbeOptions::default()
-        };
-        let grid = OffsetGrid::from_opts(&base);
-        let (n, hw) = (grid.n, grid.half_window());
-        assert_eq!((n, hw), (16, 1));
-        for warm_start in [true, false] {
-            let opts = ProbeOptions { warm_start, ..base };
-            // No center, every center on the grid, and out-of-grid
-            // centers that must clamp.
-            for center in std::iter::once(None).chain((-2..n + 2).map(Some)) {
-                let search = OffsetSearch { center };
-                let window = center.filter(|_| warm_start).map(|c| {
-                    let c = c.clamp(0, n - 1);
-                    ((c - hw).max(0), (c + 1 + hw).min(n))
-                });
-                // Probes spent on the window and the full-bracket
-                // endpoints it does not already cover.
-                let bracket_probes =
-                    |wlo: i64, whi: i64| 2 + usize::from(wlo > 0) + usize::from(whi < n);
-                for k in 0..n {
-                    for one_above in [true, false] {
-                        let (step, probes) =
-                            drive(OffsetFsm::new(&opts, &search), |i| (i > k) == one_above);
-                        let case = format!("warm {warm_start} center {center:?} flip {k}");
-                        assert_eq!(
-                            step,
-                            OffsetStep::Done {
-                                result: grid.offset(k, k + 1),
-                                flip_lo: k
-                            },
-                            "{case}"
-                        );
-                        let expected = match window {
-                            None => 2 + bisect_probes(0, n, k),
-                            Some((wlo, whi)) if (wlo..whi).contains(&k) => {
-                                2 + bisect_probes(wlo, whi, k)
-                            }
-                            Some((wlo, whi)) if k < wlo => {
-                                bracket_probes(wlo, whi) + bisect_probes(0, wlo, k)
-                            }
-                            Some((wlo, whi)) => bracket_probes(wlo, whi) + bisect_probes(whi, n, k),
-                        };
-                        assert_eq!(probes.len(), expected, "{case}: probes {probes:?}");
-                        let mut distinct = probes.clone();
-                        distinct.sort_unstable();
-                        distinct.dedup();
-                        assert_eq!(distinct.len(), probes.len(), "{case}: a point re-probed");
+    fn constant_decision_is_out_of_range_only_after_both_grid_ends() {
+        for offset_tol in [0.05, 2e-4] {
+            let opts = search_opts(offset_tol);
+            let n = OffsetGrid::from_opts(&opts).n;
+            let budget = 2 * (2 + n.trailing_zeros()) as usize;
+            for value in [0.6, -0.6, 0.01, -0.01, 0.0] {
+                for center in [
+                    None,
+                    Some(-2),
+                    Some(0),
+                    Some(n / 3),
+                    Some(n - 1),
+                    Some(n + 2),
+                ] {
+                    for gain in [None, Some(0.01), Some(-0.01)] {
+                        for o in [opts, opts.reference()] {
+                            let search = OffsetSearch { center, gain };
+                            let (step, probes) = drive(OffsetFsm::new(&o, VDD, &search), |_| value);
+                            let case = format!("{value} center {center:?} gain {gain:?}");
+                            assert_eq!(step, OffsetStep::OutOfRange, "{case}");
+                            assert!(probes.contains(&0) && probes.contains(&n), "{case}");
+                            assert!(probes.len() <= budget, "{case}: {probes:?}");
+                        }
                     }
                 }
-                for stuck in [false, true] {
-                    let (step, probes) = drive(OffsetFsm::new(&opts, &search), |_| stuck);
-                    assert_eq!(step, OffsetStep::OutOfRange, "center {center:?}");
-                    let expected = window.map_or(2, |(wlo, whi)| bracket_probes(wlo, whi));
-                    assert_eq!(probes.len(), expected, "center {center:?}: {probes:?}");
-                }
             }
+        }
+    }
+
+    #[test]
+    fn done_carries_the_flip_cell_and_its_gain() {
+        let opts = search_opts(2e-4);
+        let f = |i: i64| Response::Linear.at(i, 1234.37, 0.011);
+        let (step, _) = drive(OffsetFsm::new(&opts, VDD, &OffsetSearch::default()), f);
+        let OffsetStep::Done { next, .. } = step else {
+            panic!("{step:?}");
+        };
+        assert_eq!(next.center, Some(1234));
+        let gain = next.gain.expect("the final pair is below saturation");
+        assert!((gain - 0.011).abs() < 1e-12, "gain {gain}");
+    }
+
+    /// DESIGN §9's path independence — warm start, sharding and the
+    /// guided search all return the cold bisection's cell — rests on the
+    /// decision flipping exactly once. Probe every grid point within ±16
+    /// cells of the cold flip on real instances, in both directions.
+    #[test]
+    fn real_decisions_flip_exactly_once_around_the_offset() {
+        use crate::montecarlo::{build_sample, McConfig};
+        use crate::workload::{ReadSequence, Workload};
+        let opts = opts();
+        let grid = OffsetGrid::from_opts(&opts);
+        let aged = |kind| {
+            let workload = Workload::new(0.8, ReadSequence::AllZeros);
+            let cfg = McConfig::smoke(kind, workload, Environment::nominal(), 1e8, 1);
+            build_sample(&cfg, 0)
+        };
+        let issa = aged(SaKind::Issa);
+        let mut switched = issa.clone();
+        switched.switch_state = true;
+        let instances = [
+            (
+                "fresh NSSA",
+                SaInstance::fresh(SaKind::Nssa, Environment::nominal()),
+            ),
+            ("NSSA 80r0 at 1e8 s", aged(SaKind::Nssa)),
+            ("ISSA 80r0 at 1e8 s", issa),
+            ("ISSA 80r0 at 1e8 s, switched", switched),
+        ];
+        for (name, sa) in instances {
+            let mut search = OffsetSearch::default();
+            sa.offset_voltage_with(&opts.reference(), &mut search)
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            let k = search
+                .center
+                .expect("a finished search carries its flip cell");
+            let drive = DriveSpec::offset_probe(0.0, &sa.env, opts.t_enable, opts.edge);
+            let mut ctx = ProbeContext::new(&sa, &drive);
+            let points: Vec<i64> = ((k - 16).max(0)..=(k + 17).min(grid.n)).collect();
+            let decisions: Vec<bool> = points
+                .iter()
+                .map(|&i| {
+                    let (v_bl, v_blbar) = offset_drive_levels(grid.value(i), sa.env.vdd);
+                    sa.regenerate(&mut ctx, v_bl, v_blbar, opts.t_enable, &opts, 1.0)
+                        .unwrap_or_else(|e| panic!("{name}: {e}"))
+                        > 0.0
+                })
+                .collect();
+            let changes: Vec<i64> = points
+                .windows(2)
+                .zip(decisions.windows(2))
+                .filter(|(_, d)| d[0] != d[1])
+                .map(|(p, _)| p[0])
+                .collect();
+            assert_eq!(
+                changes,
+                vec![k],
+                "{name}: decisions {decisions:?} over {points:?}"
+            );
         }
     }
 

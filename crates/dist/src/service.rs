@@ -50,7 +50,9 @@ use crate::journal::Journal;
 use crate::proto::{campaign_fingerprint, PROTO_VERSION};
 use crate::DistError;
 use issa_circuit::cancel::{CancelCause, CancelToken};
-use issa_core::campaign::{run_campaign, CampaignCorner, CampaignOptions, CampaignReport};
+use issa_core::campaign::{
+    run_campaign, CampaignCorner, CampaignOptions, CampaignReport, SIGNAL_TICK,
+};
 use issa_core::checkpoint::{escape, unescape};
 use issa_core::durable::sweep_stale_temps;
 use std::io::Write;
@@ -126,8 +128,6 @@ pub struct ServiceOptions {
     pub handle_signals: bool,
     /// Build identification reported by `health` and `campaign.json`.
     pub build_info: String,
-    /// Dispatcher wakeup cadence (scheduling, backoff expiry, drain).
-    pub poll: Duration,
     /// Result-cache size/age bounds, applied at startup and after every
     /// runner event. Unbounded by default.
     pub cache_eviction: EvictionPolicy,
@@ -146,7 +146,6 @@ impl Default for ServiceOptions {
             progress: false,
             handle_signals: false,
             build_info: String::new(),
-            poll: Duration::from_millis(50),
             cache_eviction: EvictionPolicy::default(),
         }
     }
@@ -375,6 +374,7 @@ pub fn run_service(
     cache_health.absorb(cache.evict(&opts.cache_eviction), opts.progress);
 
     loop {
+        let now = Instant::now();
         if opts.handle_signals && issa_core::campaign::interrupt::requested() {
             draining = true;
         }
@@ -385,7 +385,7 @@ pub fn run_service(
         // Schedule queued/expired-backoff submissions into free slots.
         if !draining {
             while registry.running_count() < opts.max_concurrent {
-                let Some(id) = registry.next_runnable() else {
+                let Some(id) = registry.next_runnable(now) else {
                     break;
                 };
                 start_runner(
@@ -405,10 +405,19 @@ pub fn run_service(
             break;
         }
 
-        match events_rx.recv_timeout(opts.poll) {
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break,
-            Ok(Event::Runner { id, outcome }) => {
+        let event = match dispatcher_wait(&registry, now, opts.handle_signals) {
+            Some(wait) => match events_rx.recv_timeout(wait) {
+                Ok(event) => event,
+                Err(RecvTimeoutError::Timeout) => continue,
+                Err(RecvTimeoutError::Disconnected) => break,
+            },
+            None => match events_rx.recv() {
+                Ok(event) => event,
+                Err(_) => break,
+            },
+        };
+        match event {
+            Event::Runner { id, outcome } => {
                 handle_runner_outcome(
                     &mut registry,
                     &mut journal,
@@ -422,7 +431,7 @@ pub fn run_service(
                 // bounds as it grows, not just at startup.
                 cache_health.absorb(cache.evict(&opts.cache_eviction), opts.progress);
             }
-            Ok(Event::Control { req, reply }) => {
+            Event::Control { req, reply } => {
                 let response = match req {
                     Err(reason) => error_response(&reason, true),
                     Ok(ControlRequest::Shutdown) => {
@@ -474,6 +483,28 @@ pub fn run_service(
         eprintln!("warning: service acceptor could not be woken; connections not drained");
     }
     Ok(summary)
+}
+
+/// How long the dispatcher may block in its event channel after the
+/// scheduling pass at `now`: until the earliest backoff still running at
+/// `now`, capped at [`SIGNAL_TICK`] while it watches for signals; `None`
+/// blocks until the next event. A backoff that had expired by `now` was
+/// offered to that pass and waits for a free slot or the end of a drain,
+/// which only an event brings.
+fn dispatcher_wait(registry: &Registry, now: Instant, signals: bool) -> Option<Duration> {
+    let backoff = registry
+        .subs
+        .iter()
+        .filter_map(|s| match s.state {
+            SubState::Backoff { until } if until > now => Some(until - now),
+            _ => None,
+        })
+        .min();
+    if signals {
+        Some(backoff.map_or(SIGNAL_TICK, |wait| wait.min(SIGNAL_TICK)))
+    } else {
+        backoff
+    }
 }
 
 /// The service state directory layout.
@@ -531,9 +562,9 @@ impl Registry {
             .count()
     }
 
-    /// The oldest submission ready to run (queued, or backoff expired).
-    fn next_runnable(&self) -> Option<String> {
-        let now = Instant::now();
+    /// The oldest submission ready to run at `now` (queued, or backoff
+    /// expired).
+    fn next_runnable(&self, now: Instant) -> Option<String> {
         self.subs
             .iter()
             .find(|s| match &s.state {
@@ -1408,6 +1439,68 @@ mod tests {
         assert_eq!(corner_counts(&replayed), expected);
         assert_eq!(replay_host.calls.load(Ordering::SeqCst), 1);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn dispatcher_waits_for_the_earliest_pending_backoff() {
+        let sub = |id: &str, state: SubState| Submission {
+            id: id.into(),
+            tenant: "t".into(),
+            fingerprint: 0,
+            params: Json::Null,
+            corners: Vec::new(),
+            state,
+            crashes: 0,
+            cache_hit: false,
+            artifacts: Vec::new(),
+            reason: String::new(),
+            token: None,
+            external: Arc::new(AtomicBool::new(false)),
+            cancel_requested: false,
+            crash_after: None,
+            crash_attempts: 0,
+        };
+        let now = Instant::now();
+        let ms = Duration::from_millis;
+        let mut registry = Registry {
+            subs: vec![
+                sub("c0001", SubState::Running),
+                sub("c0002", SubState::Queued),
+                sub("c0003", SubState::Completed),
+            ],
+            next_seq: 4,
+        };
+        // Nothing backing off: block until an event, or tick for signals.
+        assert_eq!(dispatcher_wait(&registry, now, false), None);
+        assert_eq!(dispatcher_wait(&registry, now, true), Some(SIGNAL_TICK));
+        // A backoff that expired by `now` waits for a slot, i.e. an event.
+        registry
+            .subs
+            .push(sub("c0004", SubState::Backoff { until: now }));
+        assert_eq!(dispatcher_wait(&registry, now, false), None);
+        // Pending backoffs: the earliest one, capped by the signal tick.
+        registry.subs.push(sub(
+            "c0005",
+            SubState::Backoff {
+                until: now + ms(400),
+            },
+        ));
+        registry.subs.push(sub(
+            "c0006",
+            SubState::Backoff {
+                until: now + ms(120),
+            },
+        ));
+        assert_eq!(dispatcher_wait(&registry, now, false), Some(ms(120)));
+        assert_eq!(dispatcher_wait(&registry, now, true), Some(SIGNAL_TICK));
+        registry
+            .subs
+            .push(sub("c0007", SubState::Backoff { until: now + ms(5) }));
+        assert_eq!(dispatcher_wait(&registry, now, true), Some(ms(5)));
+        assert_eq!(
+            dispatcher_wait(&registry, now + ms(200), false),
+            Some(ms(200))
+        );
     }
 
     #[test]

@@ -135,7 +135,6 @@ fn service_opts(dir: &Path) -> ServiceOptions {
         dir: dir.to_path_buf(),
         max_concurrent: 1,
         restart_backoff: Duration::from_millis(10),
-        poll: Duration::from_millis(10),
         flush_every: 1,
         ..ServiceOptions::default()
     }

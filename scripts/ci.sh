@@ -47,7 +47,9 @@ echo "== hotpath bench identity guard (reference vs fast vs batched) =="
 # fast/batched bit-identity contract, so the artifact's flags are
 # asserted explicitly (the binary also exits nonzero on divergence).
 # Runs in a scratch directory so the checked-in results/ artifact keeps
-# its full-size numbers.
+# its full-size numbers. The default seed and a held-out one (977): the
+# guided offset search must return the cold bisection's cell on
+# populations it was not tuned on, too.
 HOTPATH_BIN=$PWD/target/release/hotpath_bench
 GUARD_DIR=$(mktemp -d)
 trap 'rm -rf "$GUARD_DIR"' EXIT
@@ -56,7 +58,11 @@ trap 'rm -rf "$GUARD_DIR"' EXIT
   "$HOTPATH_BIN" --samples 6 >hotpath.log 2>&1 || { tail -20 hotpath.log; exit 1; }
   grep -q '"bit_identical_reference_vs_fast": true' results/BENCH_hotpath.json
   grep -q '"bit_identical_batched_vs_fast": true' results/BENCH_hotpath.json
-  echo "hotpath guard: fast and batched modes bit-identical to reference"
+  rm results/BENCH_hotpath.json
+  "$HOTPATH_BIN" --samples 6 --seed 977 >hotpath977.log 2>&1 || { tail -20 hotpath977.log; exit 1; }
+  grep -q '"bit_identical_reference_vs_fast": true' results/BENCH_hotpath.json
+  grep -q '"bit_identical_batched_vs_fast": true' results/BENCH_hotpath.json
+  echo "hotpath guard: fast and batched modes bit-identical to reference (seeds default, 977)"
 )
 rm -rf "$GUARD_DIR"
 trap - EXIT
