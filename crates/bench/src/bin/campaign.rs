@@ -598,8 +598,16 @@ fn corner_name(artifact: &str, s: &CornerSpec) -> String {
 struct TableArtifact {
     csv: &'static str,
     title: &'static str,
+    extra: Extra,
     rows: Vec<(String, CornerSpec)>,
 }
+
+/// The console column telling a table's rows apart — its name, and its
+/// value for a row (the CSVs keep `-` there).
+type Extra = (&'static str, fn(&CornerSpec) -> String);
+
+const VDD: Extra = ("vdd", |s| format!("{:.2}V", s.env.vdd));
+const TEMP: Extra = ("T", |s| format!("{:.0}C", s.env.temp_c));
 
 const FIG7_TIMES: [f64; 6] = [0.0, 1e4, 1e5, 1e6, 1e7, 1e8];
 const FIG7_SERIES: [(&str, SaKind, ReadSequence); 3] = [
@@ -630,6 +638,7 @@ fn build_plan(args: &Args) -> (Vec<TableArtifact>, Vec<CampaignCorner>, bool) {
             "table2" => tables.push(TableArtifact {
                 csv: "table2.csv",
                 title: "Table II: workload impact (25 C / 1.0 V)",
+                extra: VDD,
                 rows: paper::table2()
                     .into_iter()
                     .map(|s| (corner_name("table2", &s), s))
@@ -638,6 +647,7 @@ fn build_plan(args: &Args) -> (Vec<TableArtifact>, Vec<CampaignCorner>, bool) {
             "table3" => tables.push(TableArtifact {
                 csv: "table3.csv",
                 title: "Table III: supply-voltage impact (25 C)",
+                extra: VDD,
                 rows: paper::table3()
                     .into_iter()
                     .map(|s| (corner_name("table3", &s), s))
@@ -646,6 +656,7 @@ fn build_plan(args: &Args) -> (Vec<TableArtifact>, Vec<CampaignCorner>, bool) {
             "table4" => tables.push(TableArtifact {
                 csv: "table4.csv",
                 title: "Table IV: temperature impact (1.0 V)",
+                extra: TEMP,
                 rows: paper::table4()
                     .into_iter()
                     .map(|s| (corner_name("table4", &s), s))
@@ -1570,10 +1581,11 @@ fn main() {
     // only — a missing row is reported, never silently dropped.
     for table in &tables {
         println!("\n{}", table.title);
-        print_table_header("-");
+        let (column, value) = table.extra;
+        print_table_header(column);
         for (name, spec) in &table.rows {
             if let Some(r) = report.result(name) {
-                print_table_row(spec, "-", r);
+                print_table_row(spec, &value(spec), r);
             }
         }
         let (csv, missing) = table_csv_rows(table, &report);
@@ -1707,7 +1719,6 @@ fn main() {
                     format!(", \"error\": \"{}\"{cause}", json_escape(&e.to_string())),
                 )
             }
-            CornerOutcome::Skipped => ("skipped", String::new()),
         };
         json.push_str(&format!(
             "    {{\"name\": \"{}\", \"status\": \"{status}\"{detail}}}{}\n",

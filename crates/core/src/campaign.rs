@@ -1,7 +1,6 @@
-//! The durable campaign engine: runs a list of Monte Carlo corners
-//! through [`run_tail_mc`] (which falls through to
-//! [`run_mc_controlled`](crate::montecarlo::run_mc_controlled) for
-//! corners without a tail-estimation mode) with incremental
+//! The durable campaign engine: runs a list of Monte Carlo corners, one
+//! after another, through the corner driver ([`crate::driver`]) — each
+//! phase one [`run_mc_controlled`] call — with incremental
 //! checkpointing, signal and deadline cancellation, and graceful
 //! degradation.
 //!
@@ -24,13 +23,11 @@
 //!   their next solver step, completed work is checkpointed, and the
 //!   report says exactly how far the campaign got.
 
-use crate::checkpoint::{
-    config_fingerprint, Checkpoint, CheckpointError, CornerCheckpoint, SavePolicy,
-};
+use crate::checkpoint::{Checkpoint, CheckpointError, SavePolicy};
+use crate::driver::{restore, CornerRun};
 use crate::montecarlo::{
-    McConfig, McControl, McObserver, McPhase, McResult, McResume, SampleFailure,
+    run_mc_controlled, McConfig, McControl, McObserver, McPhase, McResult, SampleFailure,
 };
-use crate::tail::run_tail_mc;
 use crate::SaError;
 use issa_circuit::cancel::{CancelCause, CancelToken};
 use std::fmt;
@@ -281,12 +278,11 @@ pub enum CornerOutcome {
     /// `McResult` carries the full sample vectors and dwarfs the other
     /// variants.
     Completed(Box<McResult>),
-    /// The corner errored (failure budget exceeded, or cancelled before
-    /// any sample completed). The campaign continues with the next corner
-    /// unless the cancellation token fired.
+    /// The corner errored: its failure budget was exceeded, or the
+    /// campaign was cancelled before any of its samples completed —
+    /// including a corner the cancellation reached before it started
+    /// ([`SaError::Cancelled`] with `completed: 0`).
     Failed(SaError),
-    /// The campaign was cancelled before this corner started.
-    Skipped,
 }
 
 /// One corner's entry in the [`CampaignReport`].
@@ -308,7 +304,7 @@ pub struct CampaignReport {
     /// The cancellation that ended the campaign early, if any.
     pub cancelled: Option<CancelCause>,
     /// `true` when anything is missing: a cancellation fired, a corner
-    /// failed, was skipped, or returned a partial result.
+    /// failed, or returned a partial result.
     pub partial: bool,
     /// Set when checkpointing degraded to checkpoint-less mode mid-run
     /// (persistent I/O failures exhausted [`CampaignOptions::max_save_failures`]).
@@ -383,25 +379,24 @@ impl From<CheckpointError> for CampaignError {
     }
 }
 
-/// Accumulates per-sample completions and flushes them to disk — the
-/// [`McObserver`] side of the engine.
+/// Merges per-sample completions into the corners' drivers and flushes
+/// the checkpoint — the [`McObserver`] side of the engine.
 struct CheckpointSink<'a> {
-    state: Mutex<SinkState>,
+    state: Mutex<SinkState<'a>>,
     flush_every: usize,
     abort_after: Option<usize>,
-    token: &'a CancelToken,
+    cancel: Option<&'a CancelToken>,
+    /// The caller's own observer, told of every fresh sample as well.
+    inner: Option<&'a dyn McObserver>,
 }
 
-struct SinkState {
-    /// Corners already finished (or abandoned with data) this run.
-    done: Vec<CornerCheckpoint>,
-    /// The corner currently running: restored records plus every fresh
-    /// completion observed so far.
-    current: CornerCheckpoint,
-    /// Restored corners not started yet, in campaign order. Every
-    /// snapshot keeps them, so a write made before they come up (or a
-    /// cancellation that skips them) does not drop their records.
-    pending: Vec<CornerCheckpoint>,
+#[derive(Default)]
+struct SinkState<'a> {
+    /// Every corner's driver, in campaign order. Their merged records
+    /// are the checkpoint.
+    runs: Vec<CornerRun<'a>>,
+    /// The corner whose phase is running.
+    current: usize,
     fresh_since_flush: usize,
     fresh_total: usize,
     /// A record or log-weight arrived since the last write. Only fresh
@@ -413,62 +408,56 @@ struct SinkState {
     writer: Option<CheckpointWriter>,
 }
 
-fn lock<'m>(m: &'m Mutex<SinkState>) -> MutexGuard<'m, SinkState> {
+fn lock<'m, 'a>(m: &'m Mutex<SinkState<'a>>) -> MutexGuard<'m, SinkState<'a>> {
     // A poisoned sink just means some worker panicked mid-callback; the
     // accumulated data is still sound (each record is pushed atomically).
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-impl SinkState {
-    /// The full campaign snapshot as of now, in campaign order.
-    fn snapshot(&self) -> Checkpoint {
-        let mut corners = self.done.clone();
-        if !self.current.name.is_empty() {
-            corners.push(self.current.clone());
-        }
-        corners.extend(self.pending.iter().cloned());
-        Checkpoint { corners }
-    }
-}
-
-impl CheckpointSink<'_> {
-    fn flush(&self, s: &mut SinkState) {
+impl SinkState<'_> {
+    fn flush(&mut self) {
         // Durability is best-effort while the run is healthy; losing a
         // flush only widens the recompute window after a kill, and a disk
         // that stays broken degrades the writer instead of the campaign.
         // A failed write leaves the state dirty, so the next flush tries
         // again.
-        if !s.dirty || s.writer.is_none() {
+        let SinkState {
+            runs,
+            dirty: true,
+            writer: Some(writer),
+            ..
+        } = self
+        else {
             return;
-        }
-        let snapshot = s.snapshot();
-        if let Some(writer) = s.writer.as_mut() {
-            if writer.flush(&snapshot) {
-                s.dirty = false;
-            }
+        };
+        let corners = runs.iter_mut().filter_map(CornerRun::checkpoint).collect();
+        if writer.flush(&Checkpoint { corners }) {
+            self.dirty = false;
         }
     }
 }
 
 impl McObserver for CheckpointSink<'_> {
     fn sample_finished(&self, phase: McPhase, index: usize, outcome: Result<f64, &SampleFailure>) {
-        let mut s = lock(&self.state);
-        match outcome {
-            Ok(v) => match phase {
-                McPhase::Offset => s.current.resume.offsets.push((index, v)),
-                McPhase::Delay => s.current.resume.delays.push((index, v)),
-            },
-            Err(f) => s.current.resume.failures.push(f.clone()),
+        {
+            let mut s = lock(&self.state);
+            let k = s.current;
+            s.runs[k].record(phase, index, outcome);
+            s.dirty = true;
+            s.fresh_since_flush += 1;
+            s.fresh_total += 1;
+            if self.abort_after.is_some_and(|n| s.fresh_total >= n) {
+                if let Some(token) = self.cancel {
+                    token.cancel(CancelCause::Interrupt);
+                }
+            }
+            if self.flush_every > 0 && s.fresh_since_flush >= self.flush_every {
+                s.fresh_since_flush = 0;
+                s.flush();
+            }
         }
-        s.dirty = true;
-        s.fresh_since_flush += 1;
-        s.fresh_total += 1;
-        if self.abort_after.is_some_and(|n| s.fresh_total >= n) {
-            self.token.cancel(CancelCause::Interrupt);
-        }
-        if self.flush_every > 0 && s.fresh_since_flush >= self.flush_every {
-            s.fresh_since_flush = 0;
-            self.flush(&mut s);
+        if let Some(obs) = self.inner {
+            obs.sample_finished(phase, index, outcome);
         }
     }
 
@@ -477,9 +466,15 @@ impl McObserver for CheckpointSink<'_> {
         // just landed; they ride along with the next flush (a weight the
         // checkpoint misses is recomputed bit-identically on resume, so
         // they never count toward the flush cadence).
-        let mut s = lock(&self.state);
-        s.current.resume.log_weights.push((index, log_weight));
-        s.dirty = true;
+        {
+            let mut s = lock(&self.state);
+            let k = s.current;
+            s.runs[k].record_weight(index, log_weight);
+            s.dirty = true;
+        }
+        if let Some(obs) = self.inner {
+            obs.sample_weight(index, log_weight);
+        }
     }
 }
 
@@ -556,36 +551,14 @@ pub fn run_campaign(
     opts: &CampaignOptions,
 ) -> Result<CampaignReport, CampaignError> {
     // Load and verify prior state before any work happens.
-    let mut restored = Checkpoint::default();
-    if let Some(path) = &opts.checkpoint {
-        if path.exists() {
-            restored = Checkpoint::load(path)?;
-        }
-    }
-    for corner in corners {
-        if let Some(prev) = restored.corner(&corner.name) {
-            let expected = config_fingerprint(&corner.name, &corner.cfg);
-            if prev.fingerprint != expected {
-                return Err(CampaignError::FingerprintMismatch {
-                    corner: corner.name.clone(),
-                    stored: prev.fingerprint,
-                    expected,
-                });
-            }
-        }
-    }
-    let resumed_records = restored.records();
+    let (runs, resumed_records) = restore(
+        corners,
+        opts.checkpoint.as_deref(),
+        opts.progress.then_some("campaign"),
+    )?;
     if opts.progress && resumed_records > 0 {
         eprintln!("campaign: resuming with {resumed_records} checkpointed records");
     }
-    let mut restored = restored.corners;
-    let pending = corners
-        .iter()
-        .filter_map(|c| {
-            let k = restored.iter().position(|r| r.name == c.name)?;
-            Some(restored.swap_remove(k))
-        })
-        .collect();
 
     if opts.handle_signals {
         INTERRUPTED.store(false, Ordering::SeqCst);
@@ -598,121 +571,37 @@ pub fn run_campaign(
 
     let sink = CheckpointSink {
         state: Mutex::new(SinkState {
-            done: Vec::new(),
-            current: CornerCheckpoint::default(),
-            pending,
-            fresh_since_flush: 0,
-            fresh_total: 0,
-            dirty: false,
+            runs,
             writer: opts.checkpoint.clone().map(|path| {
                 CheckpointWriter::new(path, opts.save_policy.clone(), opts.max_save_failures)
             }),
+            ..SinkState::default()
         }),
         flush_every: opts.flush_every,
         abort_after: opts.abort_after,
-        token: &token,
+        cancel: Some(&token),
+        inner: None,
     };
-
-    let mut reports = Vec::with_capacity(corners.len());
-    for corner in corners {
-        // Synchronous deadline check so a zero/elapsed deadline is exact
-        // rather than racing the watchdog's poll interval.
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            token.cancel(CancelCause::Deadline);
-        }
-        if token.is_cancelled() {
-            reports.push(CornerReport {
-                name: corner.name.clone(),
-                outcome: CornerOutcome::Skipped,
-            });
-            continue;
-        }
-
-        let resume = {
-            let mut s = lock(&sink.state);
-            s.current = match s.pending.iter().position(|c| c.name == corner.name) {
-                Some(k) => s.pending.remove(k),
-                None => CornerCheckpoint {
-                    name: corner.name.clone(),
-                    fingerprint: config_fingerprint(&corner.name, &corner.cfg),
-                    resume: McResume::default(),
-                },
-            };
-            s.fresh_since_flush = 0;
-            s.current.resume.clone()
-        };
-        if opts.progress {
-            eprintln!(
-                "campaign: corner {:?} ({} samples, {} restored)",
-                corner.name,
-                corner.cfg.samples,
-                resume.records()
-            );
-        }
-        let ctl = McControl {
-            resume: Some(&resume),
-            observer: Some(&sink),
-            cancel: Some(&token),
-        };
-        // `run_tail_mc` is a strict superset of `run_mc_controlled`: for
-        // corners without a tail mode it falls straight through, and for
-        // tail corners it runs the pilot/adaptive-round protocol on top of
-        // the same controlled engine (so checkpointing, cancellation, and
-        // resume all behave identically).
-        let outcome = match run_tail_mc(&corner.cfg, &ctl) {
-            Ok(result) => CornerOutcome::Completed(Box::new(result)),
-            Err(e) => CornerOutcome::Failed(e),
-        };
-        {
-            // Retire the corner's accumulated state (restored + fresh) and
-            // flush, so the checkpoint survives even a kill between
-            // corners. A corner that produced nothing writes nothing.
-            let mut s = lock(&sink.state);
-            let finished = std::mem::take(&mut s.current);
-            if finished.resume.records() > 0 {
-                s.done.push(finished);
-            }
-            sink.flush(&mut s);
-        }
-        if opts.progress {
-            match &outcome {
-                CornerOutcome::Completed(r) if r.partial => {
-                    eprintln!(
-                        "campaign: corner {:?} PARTIAL ({}/{} offsets)",
-                        corner.name,
-                        r.offsets.len(),
-                        r.requested
-                    );
-                }
-                CornerOutcome::Completed(_) => eprintln!("campaign: corner {:?} done", corner.name),
-                CornerOutcome::Failed(e) => {
-                    eprintln!("campaign: corner {:?} FAILED: {e}", corner.name);
-                }
-                CornerOutcome::Skipped => {}
-            }
-        }
-        reports.push(CornerReport {
-            name: corner.name.clone(),
-            outcome,
-        });
-    }
+    run_corners(&sink, deadline);
 
     if let Some(watchdog) = watchdog {
         watchdog.stop();
     }
 
     let cancelled = token.fired();
+    let state = sink
+        .state
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner);
+    let checkpoint_degraded = state
+        .writer
+        .as_ref()
+        .and_then(|w| w.degraded().map(String::from));
+    let reports: Vec<CornerReport> = state.runs.into_iter().map(CornerRun::into_report).collect();
     let partial = cancelled.is_some()
-        || reports.iter().any(|r| match &r.outcome {
-            CornerOutcome::Completed(res) => res.partial,
-            CornerOutcome::Failed(_) | CornerOutcome::Skipped => true,
-        });
-    let checkpoint_degraded = {
-        let s = lock(&sink.state);
-        s.writer
-            .as_ref()
-            .and_then(|w| w.degraded().map(String::from))
-    };
+        || reports
+            .iter()
+            .any(|r| !matches!(&r.outcome, CornerOutcome::Completed(res) if !res.partial));
 
     // A fully complete campaign no longer needs its checkpoint; removing
     // it makes the next invocation start (correctly) from scratch. A
@@ -730,6 +619,87 @@ pub fn run_campaign(
         partial,
         checkpoint_degraded,
     })
+}
+
+/// One corner through the driver in this process, under the caller's
+/// control plane: restored records from `ctl.resume`, every fresh sample
+/// reported to `ctl.observer`, no checkpoint file. The engine behind
+/// [`crate::tail::run_tail_mc`].
+pub(crate) fn run_single(cfg: &McConfig, ctl: &McControl<'_>) -> Result<McResult, SaError> {
+    let run = CornerRun::new("", cfg, ctl.resume.cloned().unwrap_or_default(), None);
+    let sink = CheckpointSink {
+        state: Mutex::new(SinkState {
+            runs: vec![run],
+            ..SinkState::default()
+        }),
+        flush_every: 0,
+        abort_after: None,
+        cancel: ctl.cancel,
+        inner: ctl.observer,
+    };
+    run_corners(&sink, None);
+    let mut state = sink
+        .state
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner);
+    match state.runs.pop().map(|run| run.into_report().outcome) {
+        Some(CornerOutcome::Completed(result)) => Ok(*result),
+        Some(CornerOutcome::Failed(e)) => Err(e),
+        None => Err(SaError::Cancelled {
+            completed: 0,
+            total: cfg.samples,
+        }),
+    }
+}
+
+/// Drives the sink's corners one after another, each phase one engine
+/// call under the phase's effective config. A corner the cancellation
+/// reaches is finished from the records it has.
+fn run_corners(sink: &CheckpointSink<'_>, deadline: Option<Instant>) {
+    // The sink is locked except while an engine call runs, the only time
+    // its observer side is called.
+    let mut s = lock(&sink.state);
+    for k in 0..s.runs.len() {
+        s.current = k;
+        s.fresh_since_flush = 0;
+        let mut ran = None;
+        loop {
+            // Synchronous deadline check so a zero/elapsed deadline is
+            // exact rather than racing the watchdog's wake-up.
+            if let Some(token) = sink.cancel {
+                if deadline.is_some_and(|d| Instant::now() >= d) {
+                    token.cancel(CancelCause::Deadline);
+                }
+            }
+            let cancelled = sink.cancel.is_some_and(CancelToken::is_cancelled);
+            let run = &mut s.runs[k];
+            // A corner the cancellation reaches before it starts is only
+            // finished, not assembled phase by phase.
+            let next = if cancelled && ran.is_none() {
+                None
+            } else {
+                run.advance(ran.take())
+            };
+            let Some(spec) = next.filter(|_| !cancelled) else {
+                run.cancel();
+                // Flush at corner end, so the checkpoint survives even a
+                // kill between corners. Nothing fresh writes nothing.
+                s.flush();
+                break;
+            };
+            let resume = run.resume().clone();
+            drop(s);
+            ran = Some(run_mc_controlled(
+                &spec.cfg,
+                &McControl {
+                    resume: Some(&resume),
+                    observer: Some(sink),
+                    cancel: sink.cancel,
+                },
+            ));
+            s = lock(&sink.state);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1003,7 +973,7 @@ mod tests {
             assert!(
                 matches!(
                     corner.outcome,
-                    CornerOutcome::Skipped | CornerOutcome::Failed(SaError::Cancelled { .. })
+                    CornerOutcome::Failed(SaError::Cancelled { .. })
                 ),
                 "corner {:?} should be cancelled, got {:?}",
                 corner.name,

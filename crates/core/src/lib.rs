@@ -56,6 +56,7 @@ pub mod batch;
 pub mod calib;
 pub mod campaign;
 pub mod checkpoint;
+pub mod driver;
 pub mod durable;
 pub mod lifetime;
 pub mod metastability;

@@ -259,7 +259,8 @@ pub struct McConfig {
     /// Importance-sampled tail-estimation mode (see [`crate::tail`]).
     /// `None` — the default — is the classic engine, bit-identical to
     /// previous behaviour. `Some` with an unresolved proposal marks a
-    /// config the adaptive driver ([`crate::tail::run_tail_mc`]) owns;
+    /// config whose pilot, rounds and delay phase the corner driver
+    /// ([`crate::driver::CornerRun`]) runs;
     /// `Some` with a resolved proposal makes [`build_sample`] draw
     /// indices past the pilot from the mixture-shifted proposal and makes
     /// [`run_mc_controlled`] assemble weighted statistics.
@@ -513,11 +514,6 @@ pub fn build_sample(cfg: &McConfig, index: usize) -> SaInstance {
     sa
 }
 
-/// Human-readable corner label for failure reports.
-fn corner_label(cfg: &McConfig) -> String {
-    cfg.corner_label()
-}
-
 impl McConfig {
     /// Human-readable corner label — the string quarantined
     /// [`SampleFailure`]s carry. Public so a distribution coordinator
@@ -696,7 +692,7 @@ fn guarded_sample(
     let failure = |kind: FailureKind, error: String| SampleFailure {
         index,
         seed: cfg.seed,
-        corner: corner_label(cfg),
+        corner: cfg.corner_label(),
         phase,
         kind,
         error,
@@ -931,105 +927,20 @@ pub fn run_mc_controlled(cfg: &McConfig, ctl: &McControl<'_>) -> Result<McResult
     // unique), so the offsets stay identical for any thread count — and a
     // quarantined or restored sample cannot perturb its shard-mates for
     // the same reason.
-    let offset_done = &offset_done;
-    let use_batch = crate::batch::batching_enabled(cfg);
-    let offset_shards: Vec<Vec<(usize, Result<f64, SampleFailure>)>> =
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|shard| {
-                    scope.spawn(move || {
-                        counted(work, || {
-                            if use_batch {
-                                // Lockstep lanes over this shard's strided
-                                // samples — bit-identical to the scalar loop
-                                // below (see [`crate::batch`]); `None` means
-                                // the config is not batchable, so fall through.
-                                let todo: Vec<usize> = (shard..cfg.samples)
-                                    .step_by(threads)
-                                    .filter(|&i| !offset_done[i])
-                                    .collect();
-                                let mut hooks = ObserverHooks {
-                                    cfg,
-                                    phase: McPhase::Offset,
-                                    observer: ctl.observer,
-                                };
-                                if let Some(runs) = crate::batch::run_offset_batch(
-                                    cfg, &todo, ctl.cancel, &mut hooks,
-                                ) {
-                                    return collect_batch_runs(runs);
-                                }
-                            }
-                            let mut local = Vec::new();
-                            let mut search = OffsetSearch::default();
-                            let mut i = shard;
-                            while i < cfg.samples {
-                                if offset_done[i] {
-                                    i += threads;
-                                    continue;
-                                }
-                                if ctl.cancel.is_some_and(CancelToken::is_cancelled) {
-                                    break;
-                                }
-                                match run_offset_sample_with(cfg, i, ctl.cancel, &mut search) {
-                                    SampleRun::Done(v) => {
-                                        if let Some(obs) = ctl.observer {
-                                            obs.sample_finished(McPhase::Offset, i, Ok(v));
-                                            let lw = crate::tail::tail_log_weight(cfg, i);
-                                            if lw != 0.0 {
-                                                obs.sample_weight(i, lw);
-                                            }
-                                        }
-                                        local.push((i, Ok(v)));
-                                    }
-                                    SampleRun::Failed(f) => {
-                                        if let Some(obs) = ctl.observer {
-                                            obs.sample_finished(McPhase::Offset, i, Err(&f));
-                                        }
-                                        local.push((i, Err(f)));
-                                    }
-                                    SampleRun::Cancelled => break,
-                                }
-                                i += threads;
-                            }
-                            local
-                        })
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .enumerate()
-                .map(|(shard, h)| {
-                    h.join().unwrap_or_else(|payload| {
-                        // Per-sample catch_unwind already contains sample
-                        // panics, so this is infrastructure dying outside
-                        // the guarded region; attribute it to the shard's
-                        // first index rather than aborting the run.
-                        vec![(
-                            shard,
-                            Err(SampleFailure {
-                                index: shard,
-                                seed: cfg.seed,
-                                corner: corner_label(cfg),
-                                phase: McPhase::Offset,
-                                kind: FailureKind::Panic,
-                                error: format!(
-                                    "worker panicked outside sample isolation: {}",
-                                    panic_message(&*payload)
-                                ),
-                                recovery_attempts: 0,
-                            }),
-                        )]
-                    })
-                })
-                .collect()
-        });
-    for shard in offset_shards {
-        for (i, r) in shard {
-            match r {
-                Ok(offset) => offsets_by_index[i] = Some(offset),
-                Err(f) => failures.push(f),
-            }
+    let offset_runs = run_phase(
+        cfg,
+        ctl,
+        McPhase::Offset,
+        &offset_done,
+        threads,
+        work,
+        |todo, hooks| crate::batch::run_offset_batch(cfg, todo, ctl.cancel, hooks),
+        |i, search| run_offset_sample_with(cfg, i, ctl.cancel, search),
+    );
+    for (i, r) in offset_runs {
+        match r {
+            Ok(offset) => offsets_by_index[i] = Some(offset),
+            Err(f) => failures.push(f),
         }
     }
     perf.offset_wall_s = offset_start.elapsed().as_secs_f64();
@@ -1084,92 +995,20 @@ pub fn run_mc_controlled(cfg: &McConfig, ctl: &McControl<'_>) -> Result<McResult
         let delay_skip: Vec<bool> = (0..delay_count)
             .map(|i| offsets_by_index[i].is_none() || delay_done[i])
             .collect();
-        let delay_skip = &delay_skip;
-        let delay_threads = threads.min(delay_count);
-        let delay_shards: Vec<Vec<(usize, Result<f64, SampleFailure>)>> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..delay_threads)
-                    .map(|shard| {
-                        scope.spawn(move || {
-                            counted(work, || {
-                                if use_batch {
-                                    let todo: Vec<usize> = (shard..delay_count)
-                                        .step_by(delay_threads)
-                                        .filter(|&i| !delay_skip[i])
-                                        .collect();
-                                    let mut hooks = ObserverHooks {
-                                        cfg,
-                                        phase: McPhase::Delay,
-                                        observer: ctl.observer,
-                                    };
-                                    if let Some(runs) = crate::batch::run_delay_batch(
-                                        cfg, &todo, swing, ctl.cancel, &mut hooks,
-                                    ) {
-                                        return collect_batch_runs(runs);
-                                    }
-                                }
-                                let mut local = Vec::new();
-                                let mut i = shard;
-                                while i < delay_count {
-                                    if delay_skip[i] {
-                                        i += delay_threads;
-                                        continue;
-                                    }
-                                    if ctl.cancel.is_some_and(CancelToken::is_cancelled) {
-                                        break;
-                                    }
-                                    match run_delay_sample(cfg, i, swing, ctl.cancel) {
-                                        SampleRun::Done(v) => {
-                                            if let Some(obs) = ctl.observer {
-                                                obs.sample_finished(McPhase::Delay, i, Ok(v));
-                                            }
-                                            local.push((i, Ok(v)));
-                                        }
-                                        SampleRun::Failed(f) => {
-                                            if let Some(obs) = ctl.observer {
-                                                obs.sample_finished(McPhase::Delay, i, Err(&f));
-                                            }
-                                            local.push((i, Err(f)));
-                                        }
-                                        SampleRun::Cancelled => break,
-                                    }
-                                    i += delay_threads;
-                                }
-                                local
-                            })
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .enumerate()
-                    .map(|(shard, h)| {
-                        h.join().unwrap_or_else(|payload| {
-                            vec![(
-                                shard,
-                                Err(SampleFailure {
-                                    index: shard,
-                                    seed: cfg.seed,
-                                    corner: corner_label(cfg),
-                                    phase: McPhase::Delay,
-                                    kind: FailureKind::Panic,
-                                    error: format!(
-                                        "worker panicked outside sample isolation: {}",
-                                        panic_message(&*payload)
-                                    ),
-                                    recovery_attempts: 0,
-                                }),
-                            )]
-                        })
-                    })
-                    .collect()
-            });
-        for shard in delay_shards {
-            for (i, r) in shard {
-                match r {
-                    Ok(delay) => delays_by_index[i] = Some(delay),
-                    Err(f) => failures.push(f),
-                }
+        let delay_runs = run_phase(
+            cfg,
+            ctl,
+            McPhase::Delay,
+            &delay_skip,
+            threads.min(delay_count),
+            work,
+            |todo, hooks| crate::batch::run_delay_batch(cfg, todo, swing, ctl.cancel, hooks),
+            |i, _| run_delay_sample(cfg, i, swing, ctl.cancel),
+        );
+        for (i, r) in delay_runs {
+            match r {
+                Ok(delay) => delays_by_index[i] = Some(delay),
+                Err(f) => failures.push(f),
             }
         }
     }
@@ -1233,8 +1072,96 @@ pub fn run_mc_controlled(cfg: &McConfig, ctl: &McControl<'_>) -> Result<McResult
     })
 }
 
-/// Forwards batched completions to the streaming observer exactly like
-/// the scalar shard loops do.
+/// Computes the samples of one phase on `threads` strided shards — each
+/// a lockstep batch where the config allows (bit-identical to the scalar
+/// loop, see [`crate::batch`]; `None` from `batch` means not batchable),
+/// otherwise the scalar loop over `scalar`, which threads one
+/// [`OffsetSearch`] through the shard's samples. Indices marked in `skip`
+/// are left alone, a cancellation stops the shard, and every finished
+/// sample is reported to the observer as it completes. A shard that dies
+/// outside sample isolation is attributed to its first index.
+#[allow(clippy::too_many_arguments)]
+fn run_phase(
+    cfg: &McConfig,
+    ctl: &McControl<'_>,
+    phase: McPhase,
+    skip: &[bool],
+    threads: usize,
+    work: &std::sync::Mutex<Work>,
+    batch: impl Fn(&[usize], &mut dyn crate::batch::BatchHooks) -> Option<Vec<(usize, SampleRun)>>
+        + Sync,
+    scalar: impl Fn(usize, &mut OffsetSearch) -> SampleRun + Sync,
+) -> Vec<(usize, Result<f64, SampleFailure>)> {
+    let use_batch = crate::batch::batching_enabled(cfg);
+    let (batch, scalar) = (&batch, &scalar);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|shard| {
+                scope.spawn(move || {
+                    counted(work, || {
+                        let todo = (shard..skip.len()).step_by(threads).filter(|&i| !skip[i]);
+                        let mut hooks = ObserverHooks {
+                            cfg,
+                            phase,
+                            observer: ctl.observer,
+                        };
+                        if use_batch {
+                            let todo: Vec<usize> = todo.clone().collect();
+                            if let Some(runs) = batch(&todo, &mut hooks) {
+                                return collect_batch_runs(runs);
+                            }
+                        }
+                        let mut local = Vec::new();
+                        let mut search = OffsetSearch::default();
+                        for i in todo {
+                            if ctl.cancel.is_some_and(CancelToken::is_cancelled) {
+                                break;
+                            }
+                            let run = scalar(i, &mut search);
+                            crate::batch::BatchHooks::on_sample(&mut hooks, i, &run);
+                            match run {
+                                SampleRun::Done(v) => local.push((i, Ok(v))),
+                                SampleRun::Failed(f) => local.push((i, Err(f))),
+                                SampleRun::Cancelled => break,
+                            }
+                        }
+                        local
+                    })
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .enumerate()
+            .flat_map(|(shard, h)| {
+                h.join().unwrap_or_else(|payload| {
+                    // Per-sample catch_unwind already contains sample
+                    // panics, so this is infrastructure dying outside
+                    // the guarded region; attribute it to the shard's
+                    // first index rather than aborting the run.
+                    vec![(
+                        shard,
+                        Err(SampleFailure {
+                            index: shard,
+                            seed: cfg.seed,
+                            corner: cfg.corner_label(),
+                            phase,
+                            kind: FailureKind::Panic,
+                            error: format!(
+                                "worker panicked outside sample isolation: {}",
+                                panic_message(&*payload)
+                            ),
+                            recovery_attempts: 0,
+                        }),
+                    )]
+                })
+            })
+            .collect()
+    })
+}
+
+/// Reports each finished sample of a shard — batched or scalar — to the
+/// streaming observer, a shifted offset with its importance log-weight.
 struct ObserverHooks<'a> {
     cfg: &'a McConfig,
     phase: McPhase,

@@ -35,7 +35,9 @@
 //!    log-likelihood ratio is computed in closed form by
 //!    [`tail_log_weight`] without a single circuit solve, and the
 //!    defensive mixture bounds every weight by `1/m`.
-//! 3. **Adaptive stopping** — [`run_tail_mc`] grows the sample set in
+//! 3. **Adaptive stopping** — the corner driver
+//!    ([`crate::driver::CornerRun`], behind [`run_tail_mc`],
+//!    `run_campaign` and the distributed coordinator) grows the sample set in
 //!    deterministic, seed-indexed blocks and stops when the relative CI
 //!    half-width of the weighted `(1−fr)`-quantile of `|offset|` meets
 //!    [`TailConfig::ci_rel_target`] *and* the tail effective sample size
@@ -49,9 +51,7 @@
 //! tail results are invariant to thread count, lane width, worker count,
 //! and checkpoint resume splits.
 
-use crate::montecarlo::{
-    run_mc_controlled, McConfig, McControl, McObserver, McPhase, McResult, McResume, SampleFailure,
-};
+use crate::montecarlo::{McConfig, McControl, McResult, McResume};
 use crate::netlist::{SaDevice, SaInstance};
 use crate::SaError;
 use issa_num::rng::SeedSequence;
@@ -59,7 +59,6 @@ use issa_num::stats::Summary;
 use issa_num::wstats;
 use rand::Rng;
 use std::collections::HashMap;
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Seed-tree child index of the per-sample mixture-component draw. Device
 /// streams use child indices `0..devices` (single digits), so this cannot
@@ -124,8 +123,8 @@ impl TailProposal {
 
 /// Configuration of the importance-sampled tail-estimation mode.
 ///
-/// User-facing configs carry `resolved: None`; the adaptive driver
-/// ([`run_tail_mc`]) or a distribution worker installs the resolved
+/// User-facing configs carry `resolved: None`; the corner driver
+/// ([`crate::driver::CornerRun`]) or a distribution worker installs the resolved
 /// proposal before running weighted rounds. [`McConfig::samples`] is the
 /// pilot size; the adaptive rounds extend the index set beyond it.
 #[derive(Debug, Clone, PartialEq)]
@@ -486,7 +485,7 @@ pub fn with_resolved(cfg: &McConfig, shift: &[f64], neg: &[f64]) -> McConfig {
     out
 }
 
-/// The weighted-statistics evaluation [`run_mc_controlled`] swaps in for
+/// The weighted-statistics evaluation [`run_mc_controlled`](crate::montecarlo::run_mc_controlled) swaps in for
 /// tail-mode runs.
 pub(crate) struct TailEvaluation {
     /// Self-normalized weighted mean of the offsets \[V\].
@@ -561,143 +560,23 @@ pub(crate) fn evaluate_weighted(
     })
 }
 
-/// Accumulates every fresh record into a growing [`McResume`] (the resume
-/// state of the next adaptive round) while forwarding each callback to
-/// the caller's observer (so campaign checkpointing sees the samples
-/// exactly once, as they complete).
-struct TeeObserver<'a> {
-    acc: Mutex<McResume>,
-    inner: Option<&'a dyn McObserver>,
-}
-
-impl<'a> TeeObserver<'a> {
-    fn new(initial: McResume, inner: Option<&'a dyn McObserver>) -> Self {
-        Self {
-            acc: Mutex::new(initial),
-            inner,
-        }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, McResume> {
-        // A panicking observer is already attributed by the sample-level
-        // quarantine; the accumulated records themselves stay valid.
-        self.acc.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn snapshot(&self) -> McResume {
-        self.lock().clone()
-    }
-}
-
-impl McObserver for TeeObserver<'_> {
-    fn sample_finished(&self, phase: McPhase, index: usize, outcome: Result<f64, &SampleFailure>) {
-        {
-            let mut acc = self.lock();
-            match outcome {
-                Ok(v) => match phase {
-                    McPhase::Offset => acc.offsets.push((index, v)),
-                    McPhase::Delay => acc.delays.push((index, v)),
-                },
-                Err(f) => acc.failures.push(f.clone()),
-            }
-        }
-        if let Some(obs) = self.inner {
-            obs.sample_finished(phase, index, outcome);
-        }
-    }
-
-    fn sample_weight(&self, index: usize, log_weight: f64) {
-        self.lock().log_weights.push((index, log_weight));
-        if let Some(obs) = self.inner {
-            obs.sample_weight(index, log_weight);
-        }
-    }
-}
-
-/// Runs one corner in adaptive tail-estimation mode: pilot → proposal fit
-/// → weighted blocks until the stopping rule (or the sample cap, or a
-/// campaign cancellation) lands → final assembly with the delay phase.
+/// Runs one corner in process through the corner driver
+/// ([`crate::driver`]): in tail mode pilot → proposal fit → weighted
+/// blocks until the stopping rule (or the sample cap, or a cancellation)
+/// lands → the delay phase, each phase one [`run_mc_controlled`](crate::montecarlo::run_mc_controlled) call.
 ///
-/// Configs without tail mode (or with an already-resolved proposal) fall
-/// through to [`run_mc_controlled`] unchanged, so this is a drop-in
+/// Configs without tail mode (or with an already-resolved proposal) make
+/// the one classic [`run_mc_controlled`](crate::montecarlo::run_mc_controlled) call, so this is a drop-in
 /// superset of the classic entry point. The delay phase measures at most
 /// [`McConfig::delay_samples`] of the *pilot* indices — delay statistics
 /// stay over nominal draws and need no weighting.
 ///
 /// # Errors
 ///
-/// Exactly [`run_mc_controlled`]'s: a failure budget overrun in any
-/// round, or a cancellation before any offset sample completed.
+/// Exactly [`run_mc_controlled`](crate::montecarlo::run_mc_controlled)'s: a failure budget overrun in any
+/// phase, or a cancellation before any offset sample completed.
 pub fn run_tail_mc(cfg: &McConfig, ctl: &McControl<'_>) -> Result<McResult, SaError> {
-    let Some(tail) = cfg.tail.clone() else {
-        return run_mc_controlled(cfg, ctl);
-    };
-    if tail.resolved.is_some() {
-        return run_mc_controlled(cfg, ctl);
-    }
-    let max_samples = tail.max_samples.max(cfg.samples);
-    let tee = TeeObserver::new(ctl.resume.cloned().unwrap_or_default(), ctl.observer);
-    let controlled = |run_cfg: &McConfig, snap: &McResume| {
-        run_mc_controlled(
-            run_cfg,
-            &McControl {
-                resume: Some(snap),
-                observer: Some(&tee),
-                cancel: ctl.cancel,
-            },
-        )
-    };
-
-    // Pilot: nominal draws, classic statistics, delay phase deferred to
-    // the final assembly.
-    let pilot_cfg = McConfig {
-        delay_samples: 0,
-        ..cfg.clone()
-    };
-    let pilot = controlled(&pilot_cfg, &tee.snapshot())?;
-    if pilot.partial {
-        // Cancelled mid-pilot: no proposal exists yet, so report the
-        // classic partial result; a resume re-enters here bit-identically.
-        return Ok(pilot);
-    }
-    let proposal = resolve_proposal(cfg, &tee.snapshot().offsets);
-    let resolved = TailConfig {
-        resolved: Some(proposal),
-        ..tail.clone()
-    };
-
-    // Adaptive blocks: indices [pilot, n) draw from the mixture proposal;
-    // the stopping rule is checked only at these block boundaries.
-    let mut n = cfg.samples;
-    let mut rounds: u32 = 0;
-    while n < max_samples {
-        n = n.saturating_add(tail.block_samples.max(1)).min(max_samples);
-        rounds += 1;
-        let round_cfg = McConfig {
-            samples: n,
-            delay_samples: 0,
-            tail: Some(resolved.clone()),
-            ..cfg.clone()
-        };
-        let round = controlled(&round_cfg, &tee.snapshot())?;
-        if round.partial || round.tail.as_ref().is_some_and(|t| t.converged) {
-            break;
-        }
-    }
-
-    // Final assembly: everything restored from the accumulator, plus the
-    // delay phase over (at most) the pilot indices.
-    let final_cfg = McConfig {
-        samples: n,
-        delay_samples: cfg.delay_samples.min(cfg.samples),
-        tail: Some(resolved),
-        ..cfg.clone()
-    };
-    let mut result = controlled(&final_cfg, &tee.snapshot())?;
-    if let Some(t) = result.tail.as_mut() {
-        t.rounds = rounds;
-    }
-    Ok(result)
+    crate::campaign::run_single(cfg, ctl)
 }
 
 #[cfg(test)]

@@ -9,27 +9,17 @@
 //! # Determinism argument
 //!
 //! The coordinator never computes statistics itself. It only *collects*
-//! per-sample records — each a pure function of `(config, index)` — into
-//! an [`McResume`], and the corner's final [`McResult`] is produced by
-//! [`run_mc_controlled`] restoring that resume, exactly as a local
-//! resumed run would. Worker count, unit size, lease churn, retries, and
-//! record arrival order therefore cannot perturb the result: the merge
-//! is a function of the *set* of records, and the set is fixed by the
-//! configuration. The one corner-wide coupling — the delay phase's
-//! bitline swing, derived from the offset distribution — is resolved
-//! here once per corner ([`delay_swing_volts`] over the index-ordered
-//! offsets) and shipped to workers as exact `f64` bits.
-//!
-//! Tail-estimation corners ([`McConfig::tail`]) extend the same
-//! discipline: the pilot phase is served like a classic offset phase,
-//! the proposal scale is resolved here (a pure function of the merged
-//! pilot offsets) and shipped on every tail-round assignment as exact
-//! `f64` bits in the `swing_bits` slot, and additional sample-range
-//! units are issued block by block only while the stopping rule is
-//! unmet — checked between rounds by a zero-solve re-assembly of the
-//! merged records, so a distributed tail run stops at exactly the
-//! sample count a local one does. Outstanding leases for a converged
-//! corner die with the retired phase scheduler.
+//! per-sample records — each a pure function of `(config, index)` — and
+//! hands them to the corner's driver ([`issa_core::driver::CornerRun`]),
+//! the phase sequence local runs go through too: classic offsets →
+//! delays, tail pilot → rounds → delays. Everything the driver decides —
+//! the tail proposal, when the rounds stop, the delay phase's bitline
+//! swing — and the corner's final statistics are functions of the merged
+//! *set* of records, so worker count, unit size, lease churn, retries and
+//! arrival order cannot perturb the result. What workers need beyond
+//! their indices — the swing, a tail round's proposal shifts — travels as
+//! exact `f64` bits. Outstanding leases for a converged tail corner die
+//! with the retired phase scheduler.
 //!
 //! # Dispatch
 //!
@@ -64,17 +54,15 @@ use crate::proto::{campaign_fingerprint, Msg, UnitAssignment, WorkerPerf, PROTO_
 use crate::scheduler::{assign_in_order, Applied, PhaseScheduler, SchedStats, SchedulerConfig};
 use crate::worker::{run_worker, WorkerOptions, WorkerStats};
 use crate::DistError;
-use issa_circuit::cancel::{CancelCause, CancelToken};
+use issa_circuit::cancel::CancelCause;
+#[cfg(doc)]
+use issa_core::campaign::CampaignOptions;
 use issa_core::campaign::{
-    interrupt, CampaignCorner, CampaignError, CampaignOptions, CampaignReport, CheckpointWriter,
-    CornerOutcome, CornerReport,
+    interrupt, CampaignCorner, CampaignReport, CheckpointWriter, CornerOutcome,
 };
-use issa_core::checkpoint::{config_fingerprint, Checkpoint, CornerCheckpoint, SavePolicy};
-use issa_core::montecarlo::{
-    delay_swing_volts, offset_spec_from_samples, run_mc_controlled, FailureKind, McConfig,
-    McControl, McPhase, McResume, SampleFailure,
-};
-use issa_core::tail::{resolve_proposal, tail_log_weight, with_resolved};
+use issa_core::checkpoint::{Checkpoint, SavePolicy};
+use issa_core::driver::{restore, CornerRun, PhaseSpec};
+use issa_core::montecarlo::{FailureKind, McPhase, McResume, SampleFailure};
 use std::collections::{HashMap, HashSet};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
@@ -95,9 +83,9 @@ pub struct ServeOptions {
     /// detection latency. Also the longest a work request is held when
     /// no unit is assignable.
     pub poll: Duration,
-    /// Campaign checkpoint file — same semantics as
-    /// [`CampaignOptions::checkpoint`]: load-and-verify on start, stream
-    /// records in, delete when the campaign completes fully.
+    /// Campaign checkpoint file — same semantics as a local campaign's
+    /// ([`CampaignOptions::checkpoint`]): load-and-verify on start,
+    /// stream records in, delete when the campaign completes fully.
     pub checkpoint: Option<std::path::PathBuf>,
     /// Flush the checkpoint every this many fresh records.
     pub flush_every: usize,
@@ -526,25 +514,11 @@ pub fn serve_campaign(
     opts: &ServeOptions,
 ) -> Result<DistReport, DistError> {
     // Load and verify prior state before accepting anyone.
-    let mut restored = Checkpoint::default();
-    if let Some(path) = &opts.checkpoint {
-        if path.exists() {
-            restored = Checkpoint::load(path).map_err(CampaignError::Checkpoint)?;
-        }
-    }
-    for corner in corners {
-        if let Some(prev) = restored.corner(&corner.name) {
-            let expected = config_fingerprint(&corner.name, &corner.cfg);
-            if prev.fingerprint != expected {
-                return Err(DistError::Campaign(CampaignError::FingerprintMismatch {
-                    corner: corner.name.clone(),
-                    stored: prev.fingerprint,
-                    expected,
-                }));
-            }
-        }
-    }
-    let resumed_records = restored.records();
+    let (runs, resumed_records) = restore(
+        corners,
+        opts.checkpoint.as_deref(),
+        opts.progress.then_some("serve"),
+    )?;
     if opts.progress && resumed_records > 0 {
         eprintln!("serve: resuming with {resumed_records} checkpointed records");
     }
@@ -589,14 +563,8 @@ pub fn serve_campaign(
         .checkpoint
         .clone()
         .map(|p| CheckpointWriter::new(p, opts.save_policy.clone(), opts.max_save_failures));
-    let (mut campaign, mut sched) = drive_campaign(
-        corners,
-        opts,
-        &shared,
-        &restored,
-        resumed_records,
-        &mut writer,
-    );
+    let (mut campaign, mut sched) =
+        drive_campaign(runs, corners, opts, &shared, resumed_records, &mut writer);
 
     // Shut everything down before reporting: workers drain on `done`.
     lock(&shared).finished = true;
@@ -659,23 +627,17 @@ fn log_worker_exit(opts: &ServeOptions, stats: &WorkerStats) {
     }
 }
 
-/// The main loop, on the coordinator thread: every corner steps through
-/// its phases on its own ([`CornerRun`]), all of their ready phases are
-/// served at once, records are merged and checkpointed as they arrive,
-/// and each corner's final statistics are assembled by
-/// [`run_mc_controlled`] from its merged resume as soon as it is done.
+/// The main loop, on the coordinator thread: every corner's driver steps
+/// through its phases on its own, all of their ready phases are served
+/// at once, and records are merged and checkpointed as they arrive.
 fn drive_campaign(
+    mut runs: Vec<CornerRun<'_>>,
     corners: &[CampaignCorner],
     opts: &ServeOptions,
     shared: &Shared,
-    restored: &Checkpoint,
     resumed_records: usize,
     writer: &mut Option<CheckpointWriter>,
 ) -> (CampaignReport, SchedStats) {
-    let mut runs: Vec<CornerRun> = corners
-        .iter()
-        .map(|corner| CornerRun::new(corner, restored, opts.progress))
-        .collect();
     let mut sched_total = SchedStats::default();
     let mut units_budget = opts.abort_after_units;
     let stop_requested =
@@ -688,10 +650,18 @@ fn drive_campaign(
         let boundary = !ready.is_empty();
         for k in ready.drain(..) {
             let run = &mut runs[k];
-            match run.advance(opts.progress) {
-                Some(spec) => install(shared, opts, k, run.corner, spec),
-                None => run.finish(false, opts.progress),
-            }
+            let Some(spec) = run.advance(None) else {
+                continue;
+            };
+            let swing = match spec.phase {
+                McPhase::Offset => 0.0,
+                // `None`: the corner failed deriving the swing.
+                McPhase::Delay => match run.delay_swing() {
+                    Some(swing) => swing,
+                    None => continue,
+                },
+            };
+            install(shared, opts, k, run.name(), spec, swing);
         }
         // Phase boundaries always flush, so a killed coordinator restarts
         // from at worst one poll interval of lost records.
@@ -699,14 +669,14 @@ fn drive_campaign(
             && (boundary || (opts.flush_every > 0 && fresh_since_flush >= opts.flush_every))
         {
             fresh_since_flush = 0;
-            flush_checkpoint(writer, &runs);
+            flush_checkpoint(writer, &mut runs);
         }
-        if runs.iter().all(|r| r.outcome.is_some()) {
+        if runs.iter().all(|r| r.outcome().is_some()) {
             break;
         }
 
         let pass = serve_pass(shared, opts, corners);
-        sched_total.stats_merge(&pass.retired_stats);
+        sched_total = sched_total.saturating_add(&pass.retired_stats);
         for (k, records) in pass.records {
             fresh_since_flush += records.records();
             runs[k].absorb(records);
@@ -723,35 +693,27 @@ fn drive_campaign(
     if aborted {
         let mut s = lock(shared);
         for phase in s.phases.drain(..) {
-            sched_total.stats_merge(&phase.scheduler.stats);
+            sched_total = sched_total.saturating_add(&phase.scheduler.stats);
         }
         drop(s);
-        for run in runs.iter_mut().filter(|r| r.outcome.is_none()) {
-            run.finish(true, opts.progress);
+        for run in runs.iter_mut() {
+            run.cancel();
         }
     }
 
     let cancelled = aborted.then_some(CancelCause::Interrupt);
     let partial = cancelled.is_some()
-        || runs.iter().any(|r| match &r.outcome {
-            Some(CornerOutcome::Completed(res)) => res.partial,
-            _ => true,
-        });
+        || runs
+            .iter()
+            .any(|r| !matches!(r.outcome(), Some(CornerOutcome::Completed(res)) if !res.partial));
     if partial {
-        flush_checkpoint(writer, &runs);
+        flush_checkpoint(writer, &mut runs);
     } else if let Some(path) = &opts.checkpoint {
         let _ = std::fs::remove_file(path);
     }
-    let reports: Vec<CornerReport> = runs
-        .into_iter()
-        .map(|run| CornerReport {
-            name: run.corner.name.clone(),
-            outcome: run.outcome.unwrap_or(CornerOutcome::Skipped),
-        })
-        .collect();
     (
         CampaignReport {
-            corners: reports,
+            corners: runs.into_iter().map(CornerRun::into_report).collect(),
             resumed_records,
             cancelled,
             partial,
@@ -846,7 +808,7 @@ fn serve_pass(shared: &Shared, opts: &ServeOptions, corners: &[CampaignCorner]) 
         pass.units += std::mem::take(&mut active.units_completed);
         if active.scheduler.is_complete() {
             pass.finished.push(active.corner_idx);
-            pass.retired_stats.stats_merge(&active.scheduler.stats);
+            pass.retired_stats = pass.retired_stats.saturating_add(&active.scheduler.stats);
         }
     }
     st.phases.retain(|p| !p.scheduler.is_complete());
@@ -859,8 +821,9 @@ fn install(
     shared: &Shared,
     opts: &ServeOptions,
     corner_idx: usize,
-    corner: &CampaignCorner,
+    corner: &str,
     spec: PhaseSpec,
+    swing: f64,
 ) {
     let ranges = PhaseScheduler::ranges_of(&spec.pending, opts.scheduler.unit_samples);
     // Unit ids are globally unique, so a result routes to its phase by id
@@ -869,8 +832,7 @@ fn install(
     let base_id = NEXT_UNIT_ID.fetch_add(ranges.len() as u64, Ordering::Relaxed);
     if opts.progress {
         eprintln!(
-            "serve: corner {:?} {} phase: {} samples in {} units",
-            corner.name,
+            "serve: corner {corner:?} {} phase: {} samples in {} units",
             spec.phase,
             spec.pending.len(),
             ranges.len()
@@ -878,10 +840,10 @@ fn install(
     }
     let phase = ActivePhase {
         corner_idx,
-        corner: corner.name.clone(),
+        corner: corner.to_owned(),
         phase: spec.phase,
-        swing_bits: spec.swing_bits,
-        tail_bits: spec.tail_bits,
+        swing_bits: swing.to_bits(),
+        tail_bits: spec.tail_bits(),
         scheduler: PhaseScheduler::new(&ranges, base_id, &opts.scheduler),
         wanted: spec.pending.into_iter().collect(),
         collected: McResume::default(),
@@ -894,429 +856,16 @@ fn install(
     shared.cv.notify_all();
 }
 
-/// A corner's next phase: its pending sample indices and what every
-/// assignment of it carries.
-struct PhaseSpec {
-    phase: McPhase,
-    swing_bits: u64,
-    tail_bits: Vec<u64>,
-    pending: Vec<usize>,
-}
-
-/// Where a corner stands; each variant but `Start` names the phase being
-/// served (or just finished).
-#[derive(Debug, Clone, Copy)]
-enum Step {
-    Start,
-    /// Classic offsets, or the shifted offsets of a corner whose tail
-    /// proposal is already resolved.
-    Offsets,
-    /// Tail pilot: indices `[0, samples)` drawn nominally.
-    Pilot,
-    /// Tail round: indices `[0, n)` under the resolved proposal.
-    Round {
-        n: usize,
-    },
-    Delays,
-}
-
-/// One corner's progress through its phases, driven by the main loop.
-///
-/// Classic corners go offsets → delays → merged. Tail corners go pilot →
-/// round 1, 2, … → delays → merged: the proposal is resolved from the
-/// merged pilot offsets (a pure function of them, so every restart
-/// resolves the identical shift), and after each round the stopping rule
-/// is evaluated by a zero-solve re-assembly of the merged records under
-/// the round's effective config — the same statistics the local engine
-/// checks at the same block boundary — so a distributed tail run
-/// converges on exactly the sample set (and the bit-identical result) of
-/// a local [`issa_core::tail::run_tail_mc`] run. A corner whose proposal
-/// is already resolved mirrors the local fallthrough: one shifted offset
-/// phase over `[0, samples)`, then delays.
-struct CornerRun<'a> {
-    corner: &'a CampaignCorner,
-    /// Every record merged so far (restored ones included): the corner's
-    /// checkpoint entry, and the resume its final merge restores.
-    ckpt: CornerCheckpoint,
-    step: Step,
-    /// Set while an offset phase draws shifted samples: each merged
-    /// offset record is annotated with its exact importance log-weight
-    /// under this config — a pure seed-tree replay, no solves.
-    weight_cfg: Option<McConfig>,
-    /// The resolved proposal's per-device shifts (positive side, then
-    /// negative), shipped as exact `f64` bits on shifted assignments.
-    tail_bits: Vec<u64>,
-    /// The config tail rounds draw under once the proposal is resolved.
-    resolved: McConfig,
-    /// The configuration the final merge restores under.
-    merge_cfg: McConfig,
-    /// Adaptive tail rounds issued, for the result's tail summary.
-    rounds: u32,
-    /// Set once the corner is merged.
-    outcome: Option<CornerOutcome>,
-}
-
-impl<'a> CornerRun<'a> {
-    fn new(corner: &'a CampaignCorner, restored: &Checkpoint, progress: bool) -> Self {
-        let cfg = &corner.cfg;
-        let ckpt = CornerCheckpoint {
-            name: corner.name.clone(),
-            fingerprint: config_fingerprint(&corner.name, cfg),
-            resume: restored
-                .corner(&corner.name)
-                .map(|c| c.resume.clone())
-                .unwrap_or_default(),
-        };
-        if progress {
-            eprintln!(
-                "serve: corner {:?} ({} samples, {} restored)",
-                corner.name,
-                cfg.samples,
-                ckpt.resume.records()
-            );
-        }
-        CornerRun {
-            corner,
-            ckpt,
-            step: Step::Start,
-            weight_cfg: None,
-            tail_bits: Vec::new(),
-            resolved: cfg.clone(),
-            merge_cfg: cfg.clone(),
-            rounds: 0,
-            outcome: None,
-        }
-    }
-
-    /// Moves the corner past its finished phase (or off the start) to the
-    /// next phase with work pending; `None` once it is ready to merge.
-    fn advance(&mut self, progress: bool) -> Option<PhaseSpec> {
-        let corner = self.corner;
-        let cfg = &corner.cfg;
-        loop {
-            let next = match self.step {
-                Step::Start => match cfg.tail.as_ref().map(|t| t.resolved.as_ref()) {
-                    None => {
-                        self.step = Step::Offsets;
-                        self.offsets(cfg.samples, None)
-                    }
-                    Some(Some(p)) => {
-                        self.tail_bits = shift_bits(&p.shift, &p.neg);
-                        self.step = Step::Offsets;
-                        self.offsets(cfg.samples, Some(cfg.clone()))
-                    }
-                    Some(None) => {
-                        self.step = Step::Pilot;
-                        self.offsets(cfg.samples, None)
-                    }
-                },
-                Step::Offsets if cfg.tail.is_some() => self.tail_delays(cfg),
-                Step::Offsets => self.classic_delays(),
-                Step::Pilot => {
-                    // `resolve_proposal` filters to pilot indices, sorts,
-                    // and dedups internally, so the raw indexed resume
-                    // records feed it directly.
-                    let proposal = resolve_proposal(cfg, &self.ckpt.resume.offsets);
-                    if progress {
-                        eprintln!(
-                            "serve: corner {:?} tail proposal |shift| {:.3} (pilot {})",
-                            corner.name,
-                            proposal.magnitude(),
-                            proposal.pilot
-                        );
-                    }
-                    self.tail_bits = shift_bits(&proposal.shift, &proposal.neg);
-                    self.resolved = with_resolved(cfg, &proposal.shift, &proposal.neg);
-                    self.next_round(cfg.samples)
-                }
-                Step::Round { n } => {
-                    let ctl = resume_control(&self.ckpt.resume, None);
-                    match run_mc_controlled(&self.round_cfg(n), &ctl) {
-                        Ok(r) if !r.partial && !r.tail.as_ref().is_some_and(|t| t.converged) => {
-                            self.next_round(n)
-                        }
-                        // Converged, or partial. A failure-budget
-                        // overrun reproduces at the final merge under the
-                        // same sample count, where it becomes the corner's
-                        // Failed outcome — exactly when the local engine
-                        // would error.
-                        _ => self.finish_rounds(n),
-                    }
-                }
-                Step::Delays => return None,
-            };
-            if let Some(spec) = next.filter(|s| !s.pending.is_empty()) {
-                return Some(spec);
-            }
-        }
-    }
-
-    /// The offset phase over the pending indices of `[0, end)`, shifted
-    /// (and weighted under `weight_cfg`) when that is set.
-    fn offsets(&mut self, end: usize, weight_cfg: Option<McConfig>) -> Option<PhaseSpec> {
-        let tail_bits = if weight_cfg.is_some() {
-            self.tail_bits.clone()
-        } else {
-            Vec::new()
-        };
-        self.weight_cfg = weight_cfg;
-        Some(PhaseSpec {
-            phase: McPhase::Offset,
-            swing_bits: 0,
-            tail_bits,
-            pending: pending_offsets(&self.ckpt.resume, 0, end),
-        })
-    }
-
-    /// The delay phase at `swing` volts over `pending`.
-    fn delays(&mut self, swing: f64, pending: Vec<usize>) -> Option<PhaseSpec> {
-        self.step = Step::Delays;
-        self.weight_cfg = None;
-        Some(PhaseSpec {
-            phase: McPhase::Delay,
-            swing_bits: swing.to_bits(),
-            tail_bits: Vec::new(),
-            pending,
-        })
-    }
-
-    /// A classic corner's delay phase. The corner-wide swing comes from
-    /// the merged, index-ordered offset distribution — exactly what the
-    /// in-process engine derives between its phases.
-    fn classic_delays(&mut self) -> Option<PhaseSpec> {
-        self.step = Step::Delays;
-        let cfg = &self.corner.cfg;
-        let pending = pending_delays(&self.ckpt.resume, cfg.delay_samples.min(cfg.samples));
-        if pending.is_empty() {
-            return None;
-        }
-        let mut offsets_by_index: Vec<Option<f64>> = vec![None; cfg.samples];
-        for &(i, v) in &self.ckpt.resume.offsets {
-            if i < cfg.samples {
-                offsets_by_index[i] = Some(v);
-            }
-        }
-        let offsets: Vec<f64> = offsets_by_index.iter().copied().flatten().collect();
-        let spec = offset_spec_from_samples(cfg, &offsets);
-        self.delays(delay_swing_volts(cfg, spec), pending)
-    }
-
-    /// A tail corner's delay phase. The swing derives from the *weighted*
-    /// directly-estimated spec — a zero-solve re-assembly of the merged
-    /// offsets under the effective config — because that is the spec the
-    /// local engine's delay phase provisions for in tail mode.
-    fn tail_delays(&mut self, cfg_eff: &McConfig) -> Option<PhaseSpec> {
-        self.step = Step::Delays;
-        let pending = pending_delays(
-            &self.ckpt.resume,
-            cfg_eff.delay_samples.min(cfg_eff.samples),
-        );
-        if pending.is_empty() {
-            return None;
-        }
-        let probe_cfg = McConfig {
-            delay_samples: 0,
-            ..cfg_eff.clone()
-        };
-        // No offsets at all (or a budget overrun) leaves nothing to
-        // measure; the final merge reports the corner's real outcome.
-        let assembled =
-            run_mc_controlled(&probe_cfg, &resume_control(&self.ckpt.resume, None)).ok()?;
-        self.delays(delay_swing_volts(cfg_eff, assembled.spec), pending)
-    }
-
-    /// The next adaptive block after `n` samples, or the delay phase once
-    /// the sample cap is reached.
-    fn next_round(&mut self, n: usize) -> Option<PhaseSpec> {
-        let cfg = &self.corner.cfg;
-        let (max_samples, block) = cfg.tail.as_ref().map_or((n, 1), |t| {
-            (t.max_samples.max(cfg.samples), t.block_samples.max(1))
-        });
-        if n >= max_samples {
-            return self.finish_rounds(n);
-        }
-        let n = n.saturating_add(block).min(max_samples);
-        self.rounds += 1;
-        self.step = Step::Round { n };
-        self.merge_cfg = self.final_cfg(n);
-        let round_cfg = self.round_cfg(n);
-        self.offsets(n, Some(round_cfg))
-    }
-
-    /// Ends the adaptive rounds at `n` samples: the delay phase under the
-    /// final effective config.
-    fn finish_rounds(&mut self, n: usize) -> Option<PhaseSpec> {
-        self.merge_cfg = self.final_cfg(n);
-        let cfg_eff = self.merge_cfg.clone();
-        self.tail_delays(&cfg_eff)
-    }
-
-    /// The effective config of a tail round over `[0, n)`.
-    fn round_cfg(&self, n: usize) -> McConfig {
-        McConfig {
-            samples: n,
-            delay_samples: 0,
-            ..self.resolved.clone()
-        }
-    }
-
-    /// The effective config of a tail corner stopped at `n` samples.
-    fn final_cfg(&self, n: usize) -> McConfig {
-        let cfg = &self.corner.cfg;
-        McConfig {
-            samples: n,
-            delay_samples: cfg.delay_samples.min(cfg.samples),
-            ..self.resolved.clone()
-        }
-    }
-
-    /// Merges newly arrived records of the corner's current phase.
-    fn absorb(&mut self, records: McResume) {
-        if let Some(wcfg) = &self.weight_cfg {
-            for &(i, _) in &records.offsets {
-                let lw = tail_log_weight(wcfg, i);
-                if lw != 0.0 {
-                    self.ckpt.resume.log_weights.push((i, lw));
-                }
-            }
-        }
-        self.ckpt.resume.offsets.extend(records.offsets);
-        self.ckpt.resume.delays.extend(records.delays);
-        self.ckpt.resume.failures.extend(records.failures);
-    }
-
-    /// The statistics a single-process run would build from the merged
-    /// records. A `cancelled` corner mirrors a local campaign interrupted
-    /// mid-corner: the merge keeps completed work and reports it partial.
-    fn finish(&mut self, cancelled: bool, progress: bool) {
-        let token = CancelToken::new();
-        if cancelled {
-            token.cancel(CancelCause::Interrupt);
-        }
-        let outcome = match run_mc_controlled(
-            &self.merge_cfg,
-            &resume_control(&self.ckpt.resume, Some(&token)),
-        ) {
-            Ok(mut result) => {
-                if let Some(t) = result.tail.as_mut() {
-                    t.rounds = self.rounds;
-                }
-                CornerOutcome::Completed(Box::new(result))
-            }
-            Err(e) => CornerOutcome::Failed(e),
-        };
-        if progress {
-            let name = &self.corner.name;
-            match &outcome {
-                CornerOutcome::Completed(r) if r.partial => eprintln!(
-                    "serve: corner {name:?} PARTIAL ({}/{} offsets)",
-                    r.offsets.len(),
-                    r.requested
-                ),
-                CornerOutcome::Completed(_) => eprintln!("serve: corner {name:?} done"),
-                CornerOutcome::Failed(e) => eprintln!("serve: corner {name:?} FAILED: {e}"),
-                CornerOutcome::Skipped => {}
-            }
-        }
-        self.outcome = Some(outcome);
-    }
-}
-
-/// Exact `f64` bits of a proposal's per-device shifts, positive side
-/// first — the `tail_bits` wire form.
-fn shift_bits(shift: &[f64], neg: &[f64]) -> Vec<u64> {
-    shift.iter().chain(neg).map(|s| s.to_bits()).collect()
-}
-
-fn resume_control<'r>(resume: &'r McResume, cancel: Option<&'r CancelToken>) -> McControl<'r> {
-    McControl {
-        resume: Some(resume),
-        observer: None,
-        cancel,
-    }
-}
-
-/// Offset-phase indices in `[start, end)` the resume does not already
-/// cover (completed or quarantined).
-fn pending_offsets(resume: &McResume, start: usize, end: usize) -> Vec<usize> {
-    let span = end.saturating_sub(start);
-    let mut done = vec![false; span];
-    for &(i, _) in &resume.offsets {
-        if i >= start && i < end {
-            done[i - start] = true;
-        }
-    }
-    for f in &resume.failures {
-        if f.phase == McPhase::Offset && f.index >= start && f.index < end {
-            done[f.index - start] = true;
-        }
-    }
-    (start..end).filter(|&i| !done[i - start]).collect()
-}
-
-/// Delay-phase indices in `[0, delay_count)` still wanted: the sample's
-/// offset must have completed and its delay must not be covered yet.
-fn pending_delays(resume: &McResume, delay_count: usize) -> Vec<usize> {
-    let mut offset_present = vec![false; delay_count];
-    for &(i, _) in &resume.offsets {
-        if i < delay_count {
-            offset_present[i] = true;
-        }
-    }
-    let mut done = vec![false; delay_count];
-    for &(i, _) in &resume.delays {
-        if i < delay_count {
-            done[i] = true;
-        }
-    }
-    for f in &resume.failures {
-        if f.phase == McPhase::Delay && f.index < delay_count {
-            done[f.index] = true;
-        }
-    }
-    (0..delay_count)
-        .filter(|&i| offset_present[i] && !done[i])
-        .collect()
-}
-
-trait StatsMerge {
-    fn stats_merge(&mut self, other: &SchedStats);
-}
-
-impl StatsMerge for SchedStats {
-    fn stats_merge(&mut self, other: &SchedStats) {
-        *self = self.saturating_add(other);
-    }
-}
-
 /// Writes the checkpoint — every corner with records, in campaign order —
 /// through the degradation-aware writer: transient I/O trouble retries
 /// inside [`CheckpointWriter::flush`], persistent trouble degrades the
 /// run to checkpoint-less serving instead of failing it.
-fn flush_checkpoint(writer: &mut Option<CheckpointWriter>, runs: &[CornerRun]) {
+fn flush_checkpoint(writer: &mut Option<CheckpointWriter>, runs: &mut [CornerRun<'_>]) {
     let Some(writer) = writer.as_mut() else {
         return;
     };
-    let corners = runs
-        .iter()
-        .filter(|r| r.ckpt.resume.records() > 0)
-        .map(|r| r.ckpt.clone())
-        .collect();
+    let corners = runs.iter_mut().filter_map(CornerRun::checkpoint).collect();
     writer.flush(&Checkpoint { corners });
-}
-
-/// Convenience for the bench binary: a [`CampaignOptions`]-shaped view
-/// of the serve options (checkpoint path, flush cadence, progress).
-#[must_use]
-pub fn serve_options_from_campaign(opts: &CampaignOptions) -> ServeOptions {
-    ServeOptions {
-        checkpoint: opts.checkpoint.clone(),
-        flush_every: opts.flush_every,
-        progress: opts.progress,
-        save_policy: opts.save_policy.clone(),
-        max_save_failures: opts.max_save_failures,
-        ..ServeOptions::default()
-    }
 }
 
 #[cfg(test)]

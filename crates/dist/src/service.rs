@@ -6,7 +6,7 @@
 //! ```text
 //! run_service (dispatcher, owns journal + registry + cache)
 //! ├── acceptor thread (the blocking accept loop shared with the coordinator)
-//! │   └── one detached handler thread per connection (LineReader, 250 ms poll)
+//! │   └── one detached handler thread per connection (LineReader, blocking reads)
 //! └── one detached runner thread per Running submission
 //!     └── run_campaign (its own worker pool, checkpoint sink, token)
 //! ```
@@ -55,12 +55,13 @@ use issa_core::campaign::{
 };
 use issa_core::checkpoint::{escape, unescape};
 use issa_core::durable::sweep_stale_temps;
+use std::collections::HashMap;
 use std::io::Write;
-use std::net::TcpListener;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// How a service embedder turns submission parameters into campaign
@@ -357,11 +358,11 @@ pub fn run_service(
     // Bounded control plane: handlers block here when the dispatcher is
     // busy — backpressure, not a queue.
     let (events_tx, events_rx): (SyncSender<Event>, Receiver<Event>) = sync_channel(64);
-    let conn_shutdown = Arc::new(AtomicBool::new(false));
+    let conns = Arc::new(Connections(Mutex::new(Some(HashMap::new()))));
     let acceptor = {
         let events = events_tx.clone();
-        let shutdown = Arc::clone(&conn_shutdown);
-        Acceptor::spawn(listener, move |s| handle_connection(s, &events, &shutdown))?
+        let conns = Arc::clone(&conns);
+        Acceptor::spawn(listener, move |s| handle_connection(s, &events, &conns))?
     };
 
     let mut draining = false;
@@ -465,9 +466,9 @@ pub fn run_service(
             summary.completed, summary.parked
         );
     }
-    conn_shutdown.store(true, Ordering::SeqCst);
+    conns.close();
     // Keep answering control events until every connection handler has
-    // noticed the shutdown flag and exited: the channel disconnects once
+    // seen its read half shut and exited: the channel disconnects once
     // the last sender — the acceptor's, each handler's, each (detached)
     // runner's — is gone. An acceptor that could not be woken keeps its
     // sender for good, so then return at once: dropping the receiver
@@ -1224,12 +1225,60 @@ fn run_one_attempt(
     }
 }
 
-fn handle_connection(
-    stream: std::net::TcpStream,
-    events: &SyncSender<Event>,
-    shutdown: &AtomicBool,
-) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
+/// The open control connections, by (local, peer) address — unique per
+/// TCP connection. Their handlers block
+/// in `read`; the drain wakes each by shutting down its read half, and a
+/// connection that arrives after the drain is closed at once.
+struct Connections(Mutex<Option<HashMap<Link, TcpStream>>>);
+
+type Link = (SocketAddr, SocketAddr);
+
+impl Connections {
+    fn lock(&self) -> MutexGuard<'_, Option<HashMap<Link, TcpStream>>> {
+        // A map of stream handles: a panic cannot leave it torn.
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Registers `stream`; `None` after the drain (or for a peer
+    /// already gone).
+    fn register(&self, stream: &TcpStream) -> Option<Link> {
+        let link = (stream.local_addr().ok()?, stream.peer_addr().ok()?);
+        let handle = stream.try_clone().ok()?;
+        self.lock().as_mut()?.insert(link, handle);
+        Some(link)
+    }
+
+    fn deregister(&self, link: Link) {
+        if let Some(open) = self.lock().as_mut() {
+            open.remove(&link);
+        }
+    }
+
+    /// Shuts the read half of every open connection: each handler's
+    /// blocked `read` returns end-of-stream.
+    fn close(&self) {
+        for stream in self
+            .lock()
+            .take()
+            .into_iter()
+            .flat_map(HashMap::into_values)
+        {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+    }
+}
+
+fn handle_connection(stream: TcpStream, events: &SyncSender<Event>, conns: &Connections) {
+    let Some(link) = conns.register(&stream) else {
+        return;
+    };
+    serve_requests(stream, events);
+    conns.deregister(link);
+}
+
+/// Answers one connection's requests, one line each, until the peer
+/// closes it or the drain shuts its read half.
+fn serve_requests(stream: TcpStream, events: &SyncSender<Event>) {
     let Ok(writer) = stream.try_clone() else {
         return;
     };
@@ -1238,12 +1287,8 @@ fn handle_connection(
     loop {
         let req = match reader.next_line() {
             Err(_) | Ok(NextLine::Eof) => return,
-            Ok(NextLine::Idle) => {
-                if shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                continue;
-            }
+            // An interrupted read: read again.
+            Ok(NextLine::Idle) => continue,
             Ok(NextLine::TooLong) => Err("request line exceeds the size limit".to_owned()),
             Ok(NextLine::Line(bytes)) => match String::from_utf8(bytes) {
                 Ok(line) if line.trim().is_empty() => continue,

@@ -381,7 +381,7 @@ fn compute_unit(
     // the carrier changes probe order, never the result.
     let mut search = OffsetSearch::default();
     let mut last_contact = Instant::now();
-    if batching_enabled(cfg) {
+    let batched = if batching_enabled(cfg) {
         // Batched lockstep over the assigned range — a worker-local
         // scheduling choice, invisible on the wire (the unit's records
         // are bit-identical to the scalar loop's below).
@@ -400,43 +400,36 @@ fn compute_unit(
         if let Some(e) = hooks.err {
             return Err(e);
         }
-        if let Some(runs) = runs {
-            for (index, run) in runs {
-                match run {
-                    SampleRun::Done(v) => {
-                        stats.samples_done += 1;
-                        match a.phase {
-                            McPhase::Offset => result.offsets.push((index, v)),
-                            McPhase::Delay => result.delays.push((index, v)),
+        runs
+    } else {
+        None
+    };
+    // Config not batchable: the scalar loop.
+    let runs = match batched {
+        Some(runs) => runs,
+        None => {
+            let mut runs = Vec::with_capacity(a.end.saturating_sub(a.start));
+            for index in a.start..a.end {
+                if last_contact.elapsed() >= opts.heartbeat_interval {
+                    match call(frames, &Msg::Ping { worker_id })? {
+                        Msg::Ok => last_contact = Instant::now(),
+                        other => {
+                            return Err(DistError::Proto(format!(
+                                "expected heartbeat ok, got {other:?}"
+                            )))
                         }
                     }
-                    SampleRun::Failed(f) => {
-                        stats.samples_done += 1;
-                        result.failures.push(f);
-                    }
-                    SampleRun::Cancelled => {}
                 }
+                let run = match a.phase {
+                    McPhase::Offset => run_offset_sample_with(cfg, index, None, &mut search),
+                    McPhase::Delay => run_delay_sample(cfg, index, a.swing_volts(), None),
+                };
+                runs.push((index, run));
             }
-            result.perf = unit_perf(&circuit_before, sense_before);
-            return Ok(result);
+            runs
         }
-        // Config not batchable: fall through to the scalar loop.
-    }
-    for index in a.start..a.end {
-        if last_contact.elapsed() >= opts.heartbeat_interval {
-            match call(frames, &Msg::Ping { worker_id })? {
-                Msg::Ok => last_contact = Instant::now(),
-                other => {
-                    return Err(DistError::Proto(format!(
-                        "expected heartbeat ok, got {other:?}"
-                    )))
-                }
-            }
-        }
-        let run = match a.phase {
-            McPhase::Offset => run_offset_sample_with(cfg, index, None, &mut search),
-            McPhase::Delay => run_delay_sample(cfg, index, a.swing_volts(), None),
-        };
+    };
+    for (index, run) in runs {
         match run {
             SampleRun::Done(v) => {
                 stats.samples_done += 1;

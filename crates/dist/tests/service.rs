@@ -553,3 +553,27 @@ fn an_idle_service_returns_promptly_after_shutdown() {
     assert_eq!(summary.completed + summary.parked, 0);
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+#[test]
+fn an_idle_client_does_not_hold_up_shutdown() {
+    let dir = temp_dir("idle-client");
+    let (addr, handle) = start_service(&service_opts(&dir));
+    // A client that connects and never sends a line: its handler sits
+    // in a blocking read, which the drain must wake.
+    let idle = TcpStream::connect(addr).unwrap();
+    let health = request(addr, &ControlRequest::Health);
+    assert_eq!(health.get("ok").and_then(Json::as_bool), Some(true));
+
+    let start = Instant::now();
+    let response = request(addr, &ControlRequest::Shutdown);
+    assert_eq!(response.get("ok").and_then(Json::as_bool), Some(true));
+    let summary = handle.join().unwrap();
+    let took = start.elapsed();
+    assert!(
+        took < Duration::from_millis(50),
+        "run_service took {took:?} to return after shutdown with an idle client"
+    );
+    assert_eq!(summary.completed + summary.parked, 0);
+    drop(idle);
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -189,7 +189,20 @@ trap 'rm -rf "$SMOKE_DIR" "$DIST_DIR" "$BATCH_DIR" "$TAIL_DIR"' EXIT
   "$CAMPAIGN_BIN" serve $TAIL_FLAGS --fresh --loopback 3 --unit-samples 4 \
     >tail_serve.log 2>&1
   cmp results/table2.csv tail_local.csv
-  echo "tail kill-and-resume: byte-identical table2.csv (local resume + 3-worker serve)"
+  # Serve -> local: SIGKILL a 3-worker serve mid-run and finish its
+  # checkpoint with the local engine (a no-op replay if the serve
+  # finished before the kill): one checkpoint, either driver.
+  # shellcheck disable=SC2086
+  "$CAMPAIGN_BIN" serve $TAIL_FLAGS --fresh --flush-every 1 --loopback 3 \
+    >tail_serve_first.log 2>&1 &
+  pid=$!
+  sleep 2
+  kill -9 "$pid" 2>/dev/null || true
+  wait "$pid" 2>/dev/null || true
+  # shellcheck disable=SC2086
+  "$CAMPAIGN_BIN" $TAIL_FLAGS --flush-every 1 >tail_serve_resume.log 2>&1
+  cmp results/table2.csv tail_local.csv
+  echo "tail kill-and-resume: byte-identical table2.csv (local resume, 3-worker serve, serve -> local resume)"
 )
 rm -rf "$TAIL_DIR"
 trap 'rm -rf "$SMOKE_DIR" "$DIST_DIR" "$BATCH_DIR"' EXIT

@@ -251,7 +251,6 @@ fn deadline_produces_partial_results_with_honest_intervals() {
             // the explicit no-statistics error, not a bogus result.
             assert!(matches!(e, SaError::Cancelled { .. }), "got {e}");
         }
-        CornerOutcome::Skipped => panic!("corner must at least be attempted"),
     }
 }
 

@@ -690,7 +690,7 @@ fn abort_leaves_several_corners_partial_and_resumes_anywhere() {
         .filter(|c| match &c.outcome {
             CornerOutcome::Completed(r) => r.partial,
             CornerOutcome::Failed(SaError::Cancelled { .. }) => true,
-            CornerOutcome::Failed(_) | CornerOutcome::Skipped => false,
+            CornerOutcome::Failed(_) => false,
         })
         .count();
     assert!(stopped >= 2, "corners stopped in flight: {stopped}");

@@ -52,7 +52,7 @@ fn temp_ckpt(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("issa-tail-{}-{tag}-{n}.ckpt", std::process::id()))
 }
 
-fn serve(corners: &[CampaignCorner], workers: usize) -> DistReport {
+fn serve_opts(workers: usize) -> ServeOptions {
     let loopback = (0..workers)
         .map(|i| WorkerOptions {
             name: format!("w{i}"),
@@ -60,23 +60,26 @@ fn serve(corners: &[CampaignCorner], workers: usize) -> DistReport {
             ..WorkerOptions::default()
         })
         .collect();
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    serve_campaign(
-        listener,
-        corners,
-        &ServeOptions {
-            scheduler: SchedulerConfig {
-                unit_samples: 2,
-                lease_timeout: Duration::from_secs(20),
-                retry_backoff: Duration::from_millis(30),
-                ..SchedulerConfig::default()
-            },
-            poll: Duration::from_millis(10),
-            loopback,
-            ..ServeOptions::default()
+    ServeOptions {
+        scheduler: SchedulerConfig {
+            unit_samples: 2,
+            lease_timeout: Duration::from_secs(20),
+            retry_backoff: Duration::from_millis(30),
+            ..SchedulerConfig::default()
         },
-    )
-    .expect("serve starts")
+        poll: Duration::from_millis(10),
+        loopback,
+        ..ServeOptions::default()
+    }
+}
+
+fn serve_with(corners: &[CampaignCorner], opts: &ServeOptions) -> DistReport {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    serve_campaign(listener, corners, opts).expect("serve starts")
+}
+
+fn serve(corners: &[CampaignCorner], workers: usize) -> DistReport {
+    serve_with(corners, &serve_opts(workers))
 }
 
 /// The adaptive driver runs a useful tail pass on the smoke corner and
@@ -234,6 +237,99 @@ fn loopback_worker_count_does_not_change_tail_results() {
             "{workers}-worker distributed tail run diverged from local"
         );
     }
+}
+
+/// A distributed tail run aborted after its pilot leaves a checkpoint a
+/// local campaign finishes: the local driver refits the proposal from
+/// the merged pilot and runs the remaining rounds to the identical
+/// result, round count included.
+#[test]
+fn serve_aborted_after_the_pilot_finishes_locally_bit_identically() {
+    let reference = run_tail_mc(&base_cfg(), &Default::default()).unwrap();
+    let corners = [CampaignCorner {
+        name: "tail".into(),
+        cfg: base_cfg(),
+    }];
+    let path = temp_ckpt("serve-to-local");
+
+    // 8 two-sample units are the pilot; the 10th falls in the round.
+    let aborted = serve_with(
+        &corners,
+        &ServeOptions {
+            checkpoint: Some(path.clone()),
+            flush_every: 1,
+            abort_after_units: Some(10),
+            ..serve_opts(3)
+        },
+    );
+    assert!(aborted.campaign.partial, "the abort must cut the round");
+    assert!(path.exists(), "aborted serve must leave its checkpoint");
+
+    let resumed = run_campaign(
+        &corners,
+        &CampaignOptions {
+            checkpoint: Some(path.clone()),
+            ..CampaignOptions::default()
+        },
+    )
+    .unwrap();
+    assert!(!resumed.partial);
+    assert!(
+        resumed.resumed_records >= PILOT,
+        "the pilot was not restored"
+    );
+    assert!(!path.exists(), "completed campaign must remove checkpoint");
+    assert_eq!(
+        resumed.result("tail").expect("corner completes"),
+        &reference,
+        "local finish of a distributed tail checkpoint diverged"
+    );
+}
+
+/// The other direction: a local tail campaign interrupted mid-round
+/// leaves a checkpoint (log-weights included) that a 3-worker serve
+/// finishes to the identical result.
+#[test]
+fn local_tail_campaign_aborted_mid_round_finishes_distributed_bit_identically() {
+    let reference = run_tail_mc(&base_cfg(), &Default::default()).unwrap();
+    let corners = [CampaignCorner {
+        name: "tail".into(),
+        cfg: base_cfg(),
+    }];
+    let path = temp_ckpt("local-to-serve");
+
+    // The pilot is 16 fresh samples; the 20th lands in the round.
+    let aborted = run_campaign(
+        &corners,
+        &CampaignOptions {
+            checkpoint: Some(path.clone()),
+            flush_every: 1,
+            abort_after: Some(PILOT + 4),
+            ..CampaignOptions::default()
+        },
+    )
+    .unwrap();
+    assert!(aborted.partial, "abort_after must interrupt the round");
+    assert!(path.exists(), "aborted campaign must leave its checkpoint");
+
+    let resumed = serve_with(
+        &corners,
+        &ServeOptions {
+            checkpoint: Some(path.clone()),
+            ..serve_opts(3)
+        },
+    );
+    assert!(!resumed.campaign.partial);
+    assert!(
+        resumed.campaign.resumed_records > PILOT,
+        "the round was not restored"
+    );
+    assert!(!path.exists(), "completed serve must remove checkpoint");
+    assert_eq!(
+        resumed.campaign.result("tail").expect("corner completes"),
+        &reference,
+        "distributed finish of a local tail checkpoint diverged"
+    );
 }
 
 /// The defensive mixture keeps a `mix_nominal` share of nominal draws,
