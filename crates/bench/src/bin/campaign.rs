@@ -1,7 +1,9 @@
 //! Durable campaign driver: regenerates the paper's Monte Carlo artifacts
-//! (Tables II–IV, Fig. 7) through the checkpointing campaign engine
-//! ([`issa_core::campaign`]), so a long run survives kills, deadlines, and
-//! SIGINT/SIGTERM and resumes bit-identically.
+//! (Tables II–IV with the Fig. 4–6 distribution strips, and Fig. 7)
+//! through the checkpointing campaign engine ([`issa_core::campaign`]),
+//! so a long run survives kills, deadlines, and SIGINT/SIGTERM and
+//! resumes bit-identically. It is the one path that writes
+//! `results/table{2,3,4}.csv` and `results/fig7_delay_aging.csv`.
 //!
 //! ```sh
 //! cargo run --release -p issa-bench --bin campaign -- \
@@ -86,8 +88,8 @@
 
 use issa_bench::CornerSpec;
 use issa_bench::{
-    csv_row, failure_cause, paper, print_table_header, print_table_row, write_csv, write_csv_at,
-    CSV_HEADER,
+    csv_row, failure_cause, paper, print_table_header, print_table_row, render_distribution_strip,
+    write_csv, write_csv_at, CSV_HEADER,
 };
 use issa_core::campaign::{
     run_campaign, CampaignCorner, CampaignOptions, CampaignReport, CornerOutcome,
@@ -594,11 +596,13 @@ fn corner_name(artifact: &str, s: &CornerSpec) -> String {
     )
 }
 
-/// One table artifact: its output CSV and the named paper corners.
+/// One table artifact: its output CSV, its console columns, the figure
+/// drawn from its rows, and the named paper corners.
 struct TableArtifact {
     csv: &'static str,
     title: &'static str,
     extra: Extra,
+    figure: Figure,
     rows: Vec<(String, CornerSpec)>,
 }
 
@@ -608,6 +612,13 @@ type Extra = (&'static str, fn(&CornerSpec) -> String);
 
 const VDD: Extra = ("vdd", |s| format!("{:.2}V", s.env.vdd));
 const TEMP: Extra = ("T", |s| format!("{:.0}C", s.env.temp_c));
+
+/// The paper figure that shows a table's offset distributions (Figs.
+/// 4–6), and the label of a row's strip in it.
+type Figure = (&'static str, fn(&CornerSpec) -> String);
+
+/// Half-width of the strips' millivolt axis.
+const STRIP_AXIS_MV: f64 = 220.0;
 
 const FIG7_TIMES: [f64; 6] = [0.0, 1e4, 1e5, 1e6, 1e7, 1e8];
 const FIG7_SERIES: [(&str, SaKind, ReadSequence); 3] = [
@@ -639,6 +650,9 @@ fn build_plan(args: &Args) -> (Vec<TableArtifact>, Vec<CampaignCorner>, bool) {
                 csv: "table2.csv",
                 title: "Table II: workload impact (25 C / 1.0 V)",
                 extra: VDD,
+                figure: ("Fig. 4", |s| {
+                    format!("{} {} t={}", s.kind.name(), s.label, s.time_label())
+                }),
                 rows: paper::table2()
                     .into_iter()
                     .map(|s| (corner_name("table2", &s), s))
@@ -648,6 +662,10 @@ fn build_plan(args: &Args) -> (Vec<TableArtifact>, Vec<CampaignCorner>, bool) {
                 csv: "table3.csv",
                 title: "Table III: supply-voltage impact (25 C)",
                 extra: VDD,
+                figure: ("Fig. 5", |s| {
+                    let vdd = (s.env.vdd - 1.0) * 100.0;
+                    format!("{} {} {vdd:+.0}%", s.kind.name(), s.label)
+                }),
                 rows: paper::table3()
                     .into_iter()
                     .map(|s| (corner_name("table3", &s), s))
@@ -657,6 +675,9 @@ fn build_plan(args: &Args) -> (Vec<TableArtifact>, Vec<CampaignCorner>, bool) {
                 csv: "table4.csv",
                 title: "Table IV: temperature impact (1.0 V)",
                 extra: TEMP,
+                figure: ("Fig. 6", |s| {
+                    format!("{} {} {:.0}C", s.kind.name(), s.label, s.env.temp_c)
+                }),
                 rows: paper::table4()
                     .into_iter()
                     .map(|s| (corner_name("table4", &s), s))
@@ -743,6 +764,31 @@ fn fig7_csv_rows(report: &CampaignReport) -> Vec<String> {
             row
         })
         .collect()
+}
+
+/// Fig. 7's verdict: the ISSA's delay against the aged NSSA(80r0)'s at
+/// the last stress time, and the first stress time at which NSSA(80r0)
+/// is the slower of the two. Printed only when every point is present.
+fn print_fig7_summary(rows: &[(f64, Vec<Option<f64>>)]) {
+    let Some(rows) = rows
+        .iter()
+        .map(|(t, d)| Some((*t, d[1]?, d[2]?)))
+        .collect::<Option<Vec<_>>>()
+    else {
+        return;
+    };
+    let Some(&(t, nssa, issa)) = rows.last() else {
+        return;
+    };
+    println!(
+        "\nat t={t:.0e}s: NSSA(80r0) = {nssa:.2} ps vs ISSA = {issa:.2} ps -> ISSA {:.1} % lower",
+        (1.0 - issa / nssa) * 100.0
+    );
+    println!("(paper: the ISSA's delay is ~10 % lower than the aged NSSA's at t=1e8s)");
+    match rows.iter().skip(1).find(|(_, nssa, issa)| nssa > issa) {
+        Some((t, _, _)) => println!("crossover observed at t = {t:.0e} s"),
+        None => println!("no crossover observed within the sweep (check calibration)"),
+    }
 }
 
 /// Build identification for `campaign.json` and the service `health`
@@ -1588,6 +1634,19 @@ fn main() {
                 print_table_row(spec, &value(spec), r);
             }
         }
+        let (figure, label) = table.figure;
+        println!(
+            "\n{figure} view: offset distributions, mean 'x' and +/-6 sigma whiskers, \
+             axis -{STRIP_AXIS_MV}..{STRIP_AXIS_MV} mV"
+        );
+        for (name, spec) in &table.rows {
+            if let Some(r) = report.result(name) {
+                println!(
+                    "{}",
+                    render_distribution_strip(&label(spec), r, STRIP_AXIS_MV)
+                );
+            }
+        }
         let (csv, missing) = table_csv_rows(table, &report);
         if csv.is_empty() {
             println!("(no completed corners; nothing written)");
@@ -1602,20 +1661,32 @@ fn main() {
     }
     if fig7 {
         println!("\nFig. 7: sensing delay vs stress time at 125 C (ps)");
+        print!("{:>12}", "t [s]");
+        for (series, _, _) in FIG7_SERIES {
+            print!("{series:>14}");
+        }
+        println!();
+        let mut rows = Vec::new();
         for &t in &FIG7_TIMES {
-            let delays: Vec<Option<&McResult>> = FIG7_SERIES
+            let delays: Vec<Option<f64>> = FIG7_SERIES
                 .iter()
-                .map(|(series, _, _)| report.result(&fig7_name(series, t)))
+                .map(|(series, _, _)| {
+                    report
+                        .result(&fig7_name(series, t))
+                        .map(|r| r.mean_delay * 1e12)
+                })
                 .collect();
             print!("{t:>12.0e}");
-            for r in &delays {
-                match r {
-                    Some(r) => print!("{:>14.2}", r.mean_delay * 1e12),
+            for d in &delays {
+                match d {
+                    Some(d) => print!("{d:>14.2}"),
                     None => print!("{:>14}", "-"),
                 }
             }
             println!();
+            rows.push((t, delays));
         }
+        print_fig7_summary(&rows);
         let path = write_csv(FIG7_CSV, FIG7_CSV_HEADER, &fig7_csv_rows(&report));
         println!("wrote {}", path.display());
     }

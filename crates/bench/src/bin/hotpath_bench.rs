@@ -1,28 +1,24 @@
-//! Hot-path before/after benchmark over the Table II reproduction.
+//! Hot-path benchmark over the Table II reproduction.
 //!
-//! Three comparisons, one artifact (`results/BENCH_hotpath.json`):
+//! Two comparisons, one artifact (`results/BENCH_hotpath.json`):
 //!
 //! 1. **reference vs fast probe mode** (in-process): fast mode enables the
-//!    warm-started offset search and early-exit transients; reference mode
+//!    guided offset search and early-exit transients; reference mode
 //!    disables both. Every corner's physical results must be bit-identical
 //!    — the probe-layer optimizations are exact by construction.
-//! 2. **seed baseline vs fast** (cross-build): the pre-optimization wall
-//!    time of the same experiment, measured by `scripts/bench_hotpath.sh`
-//!    on a checkout of the seed commit and passed in via
-//!    `--baseline-wall-s`. This captures the work no runtime mode can
-//!    re-enact — the finite-difference device Jacobian (9 `ids`
-//!    evaluations per device per Newton iteration), per-probe netlist
-//!    rebuilds, full re-stamping each iteration, and allocating LU.
-//! 3. **scalar fast vs batched** (in-process): the same fast probes
+//! 2. **scalar fast vs batched** (in-process): the same fast probes
 //!    scheduled through the lockstep batch engine
 //!    ([`issa_core::batch`], 8 lanes). Bit-identical again; the JSON's
 //!    `batched` section records wall time, lane occupancy, and
 //!    scalar-fallback count.
 //!
+//! Each mode's entry holds its wall times and exact work counters
+//! (probes, transients, timesteps, Newton iterations). The wall times
+//! make the file a record of one host, so `run_experiments.sh` does not
+//! regenerate it.
+//!
 //! ```sh
-//! cargo run --release -p issa-bench --bin hotpath_bench [--samples N] [--baseline-wall-s S]
-//! # or, to measure the seed baseline too:
-//! scripts/bench_hotpath.sh [N]
+//! cargo run --release -p issa-bench --bin hotpath_bench [--samples N] [--seed S]
 //! ```
 
 use issa_bench::{paper, BenchArgs};
@@ -94,7 +90,6 @@ fn main() {
         seed: 0x1554_2017,
         paper_probes: false,
     };
-    let mut baseline_wall_s: Option<f64> = None;
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         let mut num = |name: &str| {
@@ -102,19 +97,16 @@ fn main() {
                 .and_then(|v| v.parse::<f64>().ok())
                 .unwrap_or_else(|| {
                     eprintln!("error: {name} needs a number");
-                    eprintln!(
-                        "usage: hotpath_bench [--samples N] [--seed S] [--baseline-wall-s S]"
-                    );
+                    eprintln!("usage: hotpath_bench [--samples N] [--seed S]");
                     std::process::exit(2)
                 })
         };
         match arg.as_str() {
             "--samples" => args.samples = num("--samples") as usize,
             "--seed" => args.seed = num("--seed") as u64,
-            "--baseline-wall-s" => baseline_wall_s = Some(num("--baseline-wall-s")),
             other => {
                 eprintln!("error: unknown argument '{other}'");
-                eprintln!("usage: hotpath_bench [--samples N] [--seed S] [--baseline-wall-s S]");
+                eprintln!("usage: hotpath_bench [--samples N] [--seed S]");
                 std::process::exit(2)
             }
         }
@@ -156,14 +148,6 @@ fn main() {
          scalar fallbacks: {}",
         bc.scalar_fallbacks
     );
-    let (seed_wall_json, seed_speedup_json) = match baseline_wall_s {
-        Some(seed_wall) => {
-            let speedup = seed_wall / fast_wall;
-            println!("seed baseline: {seed_wall:.2}s -> {fast_wall:.2}s = {speedup:.2}x");
-            (format!("{seed_wall:.3}"), format!("{speedup:.3}"))
-        }
-        None => ("null".into(), "null".into()),
-    };
 
     let json = format!(
         concat!(
@@ -174,9 +158,6 @@ fn main() {
             "  \"seed\": {},\n",
             "  \"bit_identical_reference_vs_fast\": {},\n",
             "  \"mode_speedup\": {:.3},\n",
-            "  \"before_seed_wall_s\": {},\n",
-            "  \"before_seed_speedup\": {},\n",
-            "  \"before_seed_note\": \"wall time of the seed-commit build of table2_workload at the same sample count, measured by scripts/bench_hotpath.sh; the seed has no perf counters\",\n",
             "  \"reference_mode\": {},\n",
             "  \"after\": {},\n",
             "  \"bit_identical_batched_vs_fast\": {},\n",
@@ -190,8 +171,6 @@ fn main() {
         args.seed,
         identical,
         mode_speedup,
-        seed_wall_json,
-        seed_speedup_json,
         json_mode(&ref_perf),
         json_mode(&fast_perf),
         batched_identical,

@@ -6,10 +6,7 @@
 //! | binary | artifact |
 //! |---|---|
 //! | `table1_truth` | Table I — control-logic truth table |
-//! | `table2_workload` | Table II + Fig. 4 — workload impact at 25 °C / 1 V |
-//! | `table3_voltage` | Table III + Fig. 5 — supply-voltage impact |
-//! | `table4_temperature` | Table IV + Fig. 6 — temperature impact |
-//! | `fig7_delay_aging` | Fig. 7 — delay vs stress time at 125 °C |
+//! | `campaign --artifacts table2,table3,table4,fig7` | Tables II–IV with Figs. 4–6, and Fig. 7 — the Monte Carlo artifacts, checkpointed (also serves workers and runs the campaign service) |
 //! | `overhead` | Section IV-C — area/energy overhead accounting |
 //! | `ablate_switch_period` | counter width N vs residual imbalance (design choice: N = 8) |
 //! | `ablate_idle_stress` | idle-stress weight vs distribution shape |
@@ -17,6 +14,9 @@
 //! | `ablate_integrator` | time-step/integrator convergence of the probes |
 //! | `lifetime_extension` | offset-budget lifetime, NSSA vs ISSA (paper's conclusion) |
 //! | `hci_extension` | BTI + Hot Carrier Injection stacking |
+//!
+//! Beside them, `hotpath_bench`, `tail_bench` and `array_trace` write the
+//! `results/BENCH_*.json` records.
 //!
 //! All Monte Carlo binaries accept `--samples N`, `--seed S`, and
 //! `--paper-probes` (slow, fine-grained probes instead of the default fast
@@ -27,7 +27,7 @@
 
 pub mod paper;
 
-use issa_core::montecarlo::{run_mc, FailureKind, McConfig, McResult, SampleFailure};
+use issa_core::montecarlo::{FailureKind, McConfig, McResult, SampleFailure};
 use issa_core::netlist::SaKind;
 use issa_core::probe::ProbeOptions;
 use issa_core::workload::{ReadSequence, Workload};
@@ -172,18 +172,6 @@ pub struct CornerSpec {
 }
 
 impl CornerSpec {
-    /// Runs this corner under `args`; a failed run prints the failure
-    /// (including the per-sample quarantine list) and exits nonzero.
-    pub fn run(&self, args: &BenchArgs) -> McResult {
-        let cfg = args.config(
-            self.kind,
-            Workload::new(self.activation, self.sequence),
-            self.env,
-            self.time,
-        );
-        run_mc(&cfg).unwrap_or_else(|e| exit_mc_failure(self.label, &e))
-    }
-
     /// Extra row qualifier (time column).
     pub fn time_label(&self) -> String {
         if self.time == 0.0 {
@@ -253,12 +241,7 @@ pub fn render_distribution_strip(label: &str, r: &McResult, axis_mv: f64) -> Str
     strip[lo] = '[';
     strip[hi] = ']';
     strip[to_col(r.mu * 1e3)] = 'x';
-    format!("{label:>14} {}", strip.into_iter().collect::<String>())
-}
-
-/// The shared experiment seed / corner helpers used by several binaries.
-pub fn nominal() -> Environment {
-    Environment::nominal()
+    format!("{label:>17} {}", strip.into_iter().collect::<String>())
 }
 
 /// Writes experiment rows as CSV under `results/` (created on demand), so
@@ -379,25 +362,5 @@ mod tests {
         let open = strip.find('[').unwrap();
         let close = strip.find(']').unwrap();
         assert!(open < x_pos && x_pos < close);
-    }
-
-    #[test]
-    fn smoke_corner_runs() {
-        let args = BenchArgs {
-            samples: 3,
-            seed: 7,
-            paper_probes: false,
-        };
-        let spec = CornerSpec {
-            label: "80r0",
-            kind: SaKind::Nssa,
-            sequence: ReadSequence::AllZeros,
-            activation: 0.8,
-            time: 0.0,
-            env: Environment::nominal(),
-            paper: [0.1, 14.8, 90.2, 13.6],
-        };
-        let r = spec.run(&args);
-        assert_eq!(r.offsets.len(), 3);
     }
 }

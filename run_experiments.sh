@@ -1,6 +1,12 @@
 #!/usr/bin/env bash
 # Regenerates every table/figure at paper-faithful sample counts.
 #
+# Everything it writes under results/ is deterministic, so a run on a
+# correct tree leaves `git status` clean. The benchmark records come
+# from benches this script does not run: hotpath_bench writes wall
+# times to results/BENCH_hotpath.json, and tail_bench takes minutes
+# to write results/BENCH_tail.json.
+#
 # Each experiment logs to results/<name>.txt; a failing experiment aborts
 # the run with a nonzero exit and names the log that holds the evidence.
 # The paper tables (2/3/4) and Fig. 7 are driven through the durable
@@ -30,9 +36,10 @@ for exp in table1_truth overhead ablate_switch_period ablate_integrator; do
   run_exp "$exp"
 done
 
-# Tables 2-4 + Fig. 7 under the checkpointing campaign engine. Exit 3
-# means the campaign was interrupted and left a resumable checkpoint —
-# surface that distinctly instead of burying it in a log.
+# Tables 2-4 with the Fig. 4-6 strips, and Fig. 7, under the
+# checkpointing campaign engine — the one path that writes their CSVs.
+# Exit 3 means the campaign was interrupted and left a resumable
+# checkpoint — surface that distinctly instead of burying it in a log.
 echo "=== campaign (tables 2-4, fig7) ==="
 status=0
 "$BIN/campaign" --artifacts table2,table3,table4,fig7 \

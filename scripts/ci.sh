@@ -21,7 +21,7 @@ echo "== cargo clippy (solver + MC + dist + trace libs, deny unwrap) =="
 cargo clippy -p issa-num -p issa-circuit -p issa-core -p issa-dist -p issa-trace --lib -- -D warnings -D clippy::unwrap-used
 
 echo "== cargo clippy (bench binaries, deny unwrap) =="
-# The campaign/table binaries are the operator surface: a bad flag or a
+# The campaign and bench binaries are the operator surface: a bad flag or a
 # missing net must die with a message, not a bare unwrap backtrace.
 cargo clippy -p issa-bench --bins -- -D warnings -D clippy::unwrap-used
 
@@ -155,6 +155,31 @@ trap 'rm -rf "$SMOKE_DIR" "$DIST_DIR" "$BATCH_DIR"' EXIT
   cmp results/table2.csv table2_local.csv
   echo "batched distributed: byte-identical table2.csv"
 )
+
+echo "== paper record guard (campaign prints every table and figure, CSVs match results/) =="
+# The one reproduction path at the paper's 400 samples per corner, on the
+# lockstep engine (bit-identical to scalar, about twice as fast): its
+# four CSVs must equal the committed ones byte for byte — the numbers
+# EXPERIMENTS.md quotes, which tests/experiments_record.rs ties to them
+# — and its log must carry the Fig. 4-6 strips and the Fig. 7 verdict.
+RESULTS_DIR=$PWD/results
+RECORD_DIR=$(mktemp -d)
+trap 'rm -rf "$SMOKE_DIR" "$DIST_DIR" "$BATCH_DIR" "$RECORD_DIR"' EXIT
+(
+  cd "$RECORD_DIR"
+  started=$SECONDS
+  "$CAMPAIGN_BIN" --artifacts table2,table3,table4,fig7 --batch-lanes 8 \
+    >record.log 2>&1 || { tail -20 record.log; exit 1; }
+  for csv in table2.csv table3.csv table4.csv fig7_delay_aging.csv; do
+    cmp "results/$csv" "$RESULTS_DIR/$csv"
+  done
+  for figure in 'Fig. 4 view:' 'Fig. 5 view:' 'Fig. 6 view:' 'crossover observed at t = '; do
+    grep -q "^$figure" record.log || { echo "record guard: no '$figure' line"; exit 1; }
+  done
+  echo "paper record guard: CSVs byte-identical to results/, Figs. 4-7 printed ($((SECONDS - started)) s)"
+)
+rm -rf "$RECORD_DIR"
+trap 'rm -rf "$SMOKE_DIR" "$DIST_DIR" "$BATCH_DIR"' EXIT
 
 echo "== tail determinism suites (thread/lane/worker invariance, weighted resume) =="
 # Importance-sampled tail mode: pilot-prefix identity with the classic
