@@ -1389,6 +1389,14 @@ fn chaos_mode(args: &Args, corners: &[CampaignCorner], tables: &[TableArtifact])
     if let Some(s) = args.speculate_after_s {
         cmd.args(["--speculate-after-s", &s.to_string()]);
     }
+    // Per-sample budgets are configuration too (fingerprinted McConfig
+    // fields): without them the resume leg refuses the child's checkpoint.
+    if let Some(n) = args.step_budget {
+        cmd.args(["--step-budget", &n.to_string()]);
+    }
+    if let Some(s) = args.wall_budget_s {
+        cmd.args(["--wall-budget-s", &s.to_string()]);
+    }
     if args.paper_probes {
         cmd.arg("--paper-probes");
     }

@@ -358,8 +358,8 @@ fn main() {
              samples tail mode actually solved. The fixed-sample baseline's spec is a Gaussian \
              extrapolation — it never observes the tail, so its transient count buys no direct \
              estimate at any N; its measured transients are reported verbatim for scale \
-             (tail mode typically spends a few times more than the fixed baseline and ~1e5 times \
-             fewer than direct plain MC).\",\n",
+             (tail_vs_baseline_transient_ratio is tail mode's multiple of them; each corner's \
+             solve_savings_at_ci_target is its saving against direct plain MC).\",\n",
             "  \"corners\": [\n{}\n  ]\n",
             "}}\n"
         ),

@@ -1,12 +1,14 @@
-//! Batched lockstep scheduling of Monte Carlo sample probes.
-//!
-//! The scalar Monte Carlo loop runs one probe transient at a time; its
-//! cost is dominated by the per-iteration Newton factor+solve. This
-//! module packs up to [`McConfig::batch_lanes`] samples of one corner
-//! into a [`BatchRunner`] (structure-of-arrays Newton across lanes,
-//! [`issa_circuit::batch`]) and advances them in lockstep, refilling a
-//! lane with the next probe — of the same sample's search, or of the
-//! next queued sample — the moment its transient finishes.
+//! The one sample loop: [`run_samples`] computes every list of Monte
+//! Carlo sample indices, for the in-process shards ([`crate::montecarlo`])
+//! and the distribution workers alike. It decides once per list (the route
+//! decision, `Lockstep::new`) between the *scalar* route — one sample
+//! after another through `run_offset_sample_with` / `run_delay_sample`
+//! — and the *lockstep* route, which packs up to [`McConfig::batch_lanes`]
+//! samples of one corner into a [`BatchRunner`] (structure-of-arrays
+//! Newton across lanes, [`issa_circuit::batch`]) and advances them in
+//! lockstep, refilling a lane with the next probe — of the same sample's
+//! search, or of the next queued sample — the moment its transient
+//! finishes.
 //!
 //! # Bit-identity contract
 //!
@@ -23,27 +25,26 @@
 //! # Scalar fallback
 //!
 //! Anything the lockstep engine cannot reproduce exactly is *peeled
-//! off*: the whole sample is rerun on the untouched scalar path (full
-//! quarantine contract — recovery ladder, panic isolation, fault-plan
-//! arming), which regenerates the exact value or [`SampleFailure`] a
-//! scalar run would have produced. This covers:
+//! off*: the whole sample is rerun on the scalar route (full quarantine
+//! contract — recovery ladder, panic isolation, fault-plan arming),
+//! which regenerates the exact value or [`SampleFailure`] a scalar run
+//! would have produced. This covers:
 //!
 //! - any lane transient error (the batch engine has no recovery ladder);
 //! - an out-of-range offset search or missing delay crossing (the
 //!   scalar rerun reproduces the exact failure record);
 //! - fault-plan–targeted samples, pre-routed before ever entering a
-//!   lane ([`FaultScope`] is thread-local: an armed plan would inject
-//!   into *every* lane sharing the thread);
-//! - configurations the engine does not support at all (unsupported
-//!   system size, `batch_lanes < 2`, invalid probe options): the
-//!   drivers return `None` and the caller keeps its scalar loop.
+//!   lane ([`FaultScope`](issa_circuit::FaultScope) is thread-local: an
+//!   armed plan would inject into *every* lane sharing the thread).
 //!
-//! Each fallback increments
+//! Each peeled-off sample increments
 //! [`issa_circuit::perf::record_scalar_fallback`], so occupancy
-//! regressions are visible in the perf counters.
+//! regressions are visible in the perf counters. A list that takes the
+//! scalar route from the start records none: nothing fell back.
 
 use crate::montecarlo::{
-    build_sample, run_delay_sample, run_offset_sample_with, McConfig, SampleRun,
+    build_sample, run_delay_sample, run_offset_sample_with, McConfig, McPhase, SampleFailure,
+    SampleRun,
 };
 use crate::netlist::SaInstance;
 use crate::probe::{
@@ -60,93 +61,304 @@ use issa_circuit::{CancelToken, Netlist, TranParams, Waveform};
 /// comparable to the scalar path's per-base-solve cancellation check.
 const SLICE_ROUNDS: usize = 256;
 
-/// Caller hooks into the batch drivers' progress.
+/// One computed sample: its measurement or its quarantine record.
+pub type SampleOutcome = Result<f64, SampleFailure>;
+
+/// The phase a list of samples belongs to, with what the phase needs
+/// beyond the config.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum SamplePhase {
+    /// The offset-voltage search (phase 1).
+    Offset,
+    /// The sensing-delay measurement (phase 2) at the corner-wide bitline
+    /// swing \[V\], derived from the offset distribution by
+    /// [`delay_swing_volts`](crate::montecarlo::delay_swing_volts).
+    Delay(f64),
+}
+
+impl SamplePhase {
+    /// The phase as recorded in failure records and observer events.
+    #[must_use]
+    pub fn mc_phase(self) -> McPhase {
+        match self {
+            SamplePhase::Offset => McPhase::Offset,
+            SamplePhase::Delay(_) => McPhase::Delay,
+        }
+    }
+}
+
+/// Caller hooks into [`run_samples`]' progress.
 ///
-/// The montecarlo shard loop uses [`BatchHooks::on_sample`] to forward
-/// completions to its [`McObserver`](crate::montecarlo::McObserver); a
+/// The montecarlo shards use [`BatchHooks::on_sample`] to forward
+/// completions to their [`McObserver`](crate::montecarlo::McObserver); a
 /// distribution worker uses [`BatchHooks::on_slice`] to heartbeat its
-/// coordinator between lockstep slices.
+/// coordinator.
 pub trait BatchHooks {
-    /// Called between lockstep slices (and between scalar-fallback
-    /// reruns). Return `false` to stop the batch early — completed
-    /// samples are kept, unstarted ones are simply not computed, exactly
-    /// like a cancellation.
+    /// Called before each scalar sample and between lockstep slices.
+    /// Return `false` to stop the list early — completed samples are
+    /// kept, unstarted ones are simply not computed, exactly like a
+    /// cancellation.
     fn on_slice(&mut self) -> bool {
         true
     }
 
     /// Called once per completed sample (fresh results only, in
     /// completion order — *not* index order).
-    fn on_sample(&mut self, index: usize, run: &SampleRun) {
-        let _ = (index, run);
+    fn on_sample(&mut self, index: usize, outcome: Result<f64, &SampleFailure>) {
+        let _ = (index, outcome);
     }
 }
 
-/// [`BatchHooks`] that observe nothing — a plain in-process batch run.
+/// [`BatchHooks`] that observe nothing — a plain in-process run.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoHooks;
 
 impl BatchHooks for NoHooks {}
 
-/// Whether `cfg` selects the batched sample loop: `batch_lanes > 1` and
-/// no per-sample watchdog budget armed (the watchdog's step/wall
-/// accounting is per-thread-scoped and cannot attribute lockstep work to
-/// one sample; such configs keep the scalar loop).
-#[must_use]
-pub fn batching_enabled(cfg: &McConfig) -> bool {
-    cfg.batch_lanes > 1 && cfg.sample_step_budget.is_none() && cfg.sample_wall_budget_s.is_none()
-}
-
-/// Runs the offset phase for `indices` through the lockstep engine.
-///
-/// Returns `None` when the configuration cannot be batched (unsupported
-/// system size or lane count, invalid search options) — the caller runs
-/// its scalar loop instead. `Some(runs)` holds one entry per computed
-/// sample, sorted by index; samples stopped by cancellation (or
-/// [`BatchHooks::on_slice`] returning `false`) are absent, exactly like
-/// the scalar loop's early break. Every entry is bit-identical to what
-/// [`run_offset_sample_with`] would have produced.
-pub fn run_offset_batch(
+/// Computes the samples `indices` of `phase`, each bit-identical to what
+/// `run_offset_sample_with` / `run_delay_sample` produce for it on
+/// its own, and returns every computed sample sorted by index. Samples
+/// stopped by cancellation (or by [`BatchHooks::on_slice`] returning
+/// `false`) are absent: not computed, a resumed run attempts them again.
+pub fn run_samples(
     cfg: &McConfig,
+    phase: SamplePhase,
     indices: &[usize],
     cancel: Option<&CancelToken>,
     hooks: &mut dyn BatchHooks,
-) -> Option<Vec<(usize, SampleRun)>> {
-    if !(cfg.probe.offset_tol > 0.0 && cfg.probe.vin_max > 0.0) {
-        // The scalar search would panic (per sample, inside its guarded
-        // region); let it, so the failure records match.
-        return None;
+) -> Vec<(usize, SampleOutcome)> {
+    let mut done = Vec::new();
+    // Before any template netlist or runner is built: a phase restored
+    // whole from a checkpoint reaches here with nothing to compute.
+    if indices.is_empty() {
+        return done;
     }
-    run_batch(cfg, indices, &PhaseKind::Offset, cancel, hooks)
+    match Lockstep::new(cfg, phase) {
+        Some(lockstep) => lockstep.run(indices, cancel, hooks, &mut done),
+        None => run_scalar(cfg, phase, indices, cancel, hooks, false, &mut done),
+    }
+    done.sort_by_key(|&(i, _)| i);
+    done
 }
 
-/// Runs the delay phase for `indices` through the lockstep engine at the
-/// corner-wide bitline swing `swing_volts`. Same contract as
-/// [`run_offset_batch`]; entries are bit-identical to
-/// [`run_delay_sample`].
-pub fn run_delay_batch(
+/// The scalar route: one guarded sample after another on this thread,
+/// one warm-start carrier across the list (it changes probe order, never
+/// results). `peeled` marks lockstep samples rerun here: each counts a
+/// scalar fallback and gets a fresh carrier, which keeps it independent
+/// of batch scheduling.
+fn run_scalar(
     cfg: &McConfig,
+    phase: SamplePhase,
     indices: &[usize],
-    swing_volts: f64,
     cancel: Option<&CancelToken>,
     hooks: &mut dyn BatchHooks,
-) -> Option<Vec<(usize, SampleRun)>> {
-    let zero_fraction =
-        compile_workload(cfg.workload, cfg.kind, cfg.counter_bits).internal_zero_fraction;
-    if !(0.0..=1.0).contains(&zero_fraction) {
-        // sensing_delay_weighted would assert; keep the scalar panic path.
-        return None;
+    peeled: bool,
+    done: &mut Vec<(usize, SampleOutcome)>,
+) {
+    let mut search = OffsetSearch::default();
+    for &index in indices {
+        if cancel.is_some_and(CancelToken::is_cancelled) || !hooks.on_slice() {
+            break;
+        }
+        if peeled {
+            issa_circuit::perf::record_scalar_fallback();
+            search = OffsetSearch::default();
+        }
+        let outcome = match phase {
+            SamplePhase::Offset => run_offset_sample_with(cfg, index, cancel, &mut search),
+            SamplePhase::Delay(swing_volts) => run_delay_sample(cfg, index, swing_volts, cancel),
+        };
+        let outcome = match outcome {
+            SampleRun::Done(v) => Ok(v),
+            SampleRun::Failed(f) => Err(f),
+            SampleRun::Cancelled => break,
+        };
+        hooks.on_sample(index, outcome.as_ref().copied());
+        done.push((index, outcome));
     }
-    let phase = PhaseKind::Delay {
-        swing: swing_volts,
-        zero_fraction,
-    };
-    run_batch(cfg, indices, &phase, cancel, hooks)
 }
 
-enum PhaseKind {
-    Offset,
-    Delay { swing: f64, zero_fraction: f64 },
+/// The lockstep engine for one phase of one corner.
+struct Lockstep<'a> {
+    cfg: &'a McConfig,
+    phase: SamplePhase,
+    /// The delay weighting's read-0 share (unused by the offset phase).
+    zero_fraction: f64,
+    runner: BatchRunner,
+}
+
+impl<'a> Lockstep<'a> {
+    /// The route decision: the lockstep engine for `phase`, or `None` for
+    /// the scalar route. The scalar route is taken when
+    ///
+    /// - `batch_lanes < 2`;
+    /// - a per-sample step or wall budget is armed: the watchdog's
+    ///   step/wall accounting is per-thread-scoped and cannot attribute
+    ///   lockstep work to one sample;
+    /// - the probe options are invalid (`offset_tol`/`vin_max` ≤ 0, or a
+    ///   read mix outside `[0, 1]`): the scalar measurement panics per
+    ///   sample inside its guarded region, so the failure records match;
+    /// - [`BatchRunner::new`] refuses the system.
+    fn new(cfg: &'a McConfig, phase: SamplePhase) -> Option<Self> {
+        if cfg.batch_lanes < 2
+            || cfg.sample_step_budget.is_some()
+            || cfg.sample_wall_budget_s.is_some()
+        {
+            return None;
+        }
+        // Structural template: probe drives differ per sample/probe but
+        // the netlist topology is fixed by (kind, sizing), which is all
+        // the runner's monomorphized engine keys on.
+        let (template_drive, zero_fraction) = match phase {
+            SamplePhase::Offset => {
+                if !(cfg.probe.offset_tol > 0.0 && cfg.probe.vin_max > 0.0) {
+                    return None;
+                }
+                let drive =
+                    DriveSpec::offset_probe(0.0, &cfg.env, cfg.probe.t_enable, cfg.probe.edge);
+                (drive, 0.0)
+            }
+            SamplePhase::Delay(swing_volts) => {
+                let zero_fraction = compile_workload(cfg.workload, cfg.kind, cfg.counter_bits)
+                    .internal_zero_fraction;
+                if !(0.0..=1.0).contains(&zero_fraction) {
+                    return None;
+                }
+                let drive = DriveSpec::delay_probe(false, swing_volts, &cfg.env, &cfg.probe);
+                (drive, zero_fraction)
+            }
+        };
+        let mut template_sa = SaInstance::fresh(cfg.kind, cfg.env);
+        template_sa.sizing = cfg.sizing;
+        let template = template_sa.build_netlist(&template_drive);
+        Some(Lockstep {
+            cfg,
+            phase,
+            zero_fraction,
+            runner: BatchRunner::new(&template, cfg.batch_lanes)?,
+        })
+    }
+
+    /// Builds sample `index`'s instance and netlist and starts its first
+    /// probe on `lane`. On a start error the sample goes to the scalar
+    /// queue (which reproduces the error under the quarantine contract).
+    fn start(&mut self, index: usize, lane: usize, search: &OffsetSearch) -> Result<LaneJob, ()> {
+        let cfg = self.cfg;
+        let sa = build_sample(cfg, index);
+        let (fsm, drive) = match self.phase {
+            SamplePhase::Offset => {
+                let fsm = OffsetFsm::new(&cfg.probe, sa.env.vdd, search);
+                let drive =
+                    DriveSpec::offset_probe(0.0, &cfg.env, cfg.probe.t_enable, cfg.probe.edge);
+                (Fsm::Offset(fsm), drive)
+            }
+            SamplePhase::Delay(swing_volts) => {
+                let fsm = DelayFsm::new(self.zero_fraction);
+                let drive =
+                    DriveSpec::delay_probe(fsm.current_read(), swing_volts, &cfg.env, &cfg.probe);
+                (Fsm::Delay(fsm, swing_volts), drive)
+            }
+        };
+        let net = sa.build_netlist(&drive);
+        let mut job = LaneJob {
+            index,
+            sa,
+            net,
+            fsm,
+        };
+        job.start_current(cfg, &mut self.runner, lane)
+            .map_err(|_| ())?;
+        Ok(job)
+    }
+
+    /// Refills idle lanes from the index queue, advances all lanes in
+    /// lockstep slices, and reruns peeled-off samples on the scalar route
+    /// at the end.
+    fn run(
+        mut self,
+        indices: &[usize],
+        cancel: Option<&CancelToken>,
+        hooks: &mut dyn BatchHooks,
+        done: &mut Vec<(usize, SampleOutcome)>,
+    ) {
+        let cfg = self.cfg;
+        let width = self.runner.lane_width();
+
+        // Fault-plan–targeted samples never enter a lane: FaultScope is
+        // thread-local, so arming it would inject into every lane on this
+        // thread. The scalar rerun arms it per sample, as designed.
+        let fault_targets: Vec<usize> = cfg
+            .fault_plan
+            .as_deref()
+            .map(issa_circuit::FaultPlan::samples)
+            .unwrap_or_default();
+
+        let mut queue = indices.iter().copied();
+        let mut scalar_queue: Vec<usize> = Vec::new();
+        let mut jobs: Vec<Option<LaneJob>> = (0..width).map(|_| None).collect();
+        // One warm-start carrier per lane, like one per scalar shard. The
+        // carrier changes probe order, never results, so the lane→sample
+        // assignment (which depends on completion timing) is bit-safe.
+        let mut searches: Vec<OffsetSearch> = vec![OffsetSearch::default(); width];
+        let mut events: Vec<LaneEvent> = Vec::new();
+
+        loop {
+            // Refill idle lanes from the queue.
+            for lane in 0..width {
+                if jobs[lane].is_some() {
+                    continue;
+                }
+                for index in queue.by_ref() {
+                    if fault_targets.contains(&index) {
+                        scalar_queue.push(index);
+                        continue;
+                    }
+                    match self.start(index, lane, &searches[lane]) {
+                        Ok(job) => {
+                            jobs[lane] = Some(job);
+                            break;
+                        }
+                        Err(()) => scalar_queue.push(index),
+                    }
+                }
+            }
+            if !self.runner.any_active() {
+                break;
+            }
+            if cancel.is_some_and(CancelToken::is_cancelled) || !hooks.on_slice() {
+                // Stopped: the peeled-off samples stay uncomputed too.
+                return;
+            }
+            self.runner.step_rounds(SLICE_ROUNDS, &mut events);
+            for ev in events.drain(..) {
+                let mut job = jobs[ev.lane].take().expect("event from a lane with a job");
+                match ev.outcome {
+                    // Lane transient error: the batch engine has no
+                    // recovery ladder, so the scalar rerun (which has
+                    // one) decides whether the sample survives or how it
+                    // is quarantined.
+                    Err(_) => scalar_queue.push(job.index),
+                    Ok(()) => match job.advance(&self.runner, ev.lane, &mut searches[ev.lane]) {
+                        Advance::Next => match job.start_current(cfg, &mut self.runner, ev.lane) {
+                            Ok(()) => jobs[ev.lane] = Some(job),
+                            Err(_) => scalar_queue.push(job.index),
+                        },
+                        Advance::Done(v) => {
+                            hooks.on_sample(job.index, Ok(v));
+                            done.push((job.index, Ok(v)));
+                        }
+                        Advance::Scalar => scalar_queue.push(job.index),
+                    },
+                }
+            }
+        }
+
+        // Peeled-off samples rerun whole on the scalar route:
+        // bit-identical values, bit-identical failure records (recovery
+        // ladder, fault arming, panic isolation — the full quarantine
+        // contract).
+        run_scalar(cfg, self.phase, &scalar_queue, cancel, hooks, true, done);
+    }
 }
 
 /// One lane's in-flight sample: its aged instance, its netlist (built
@@ -178,46 +390,6 @@ enum Advance {
 }
 
 impl LaneJob {
-    /// Builds sample `index`'s instance and netlist and starts its first
-    /// probe on `lane`. On a start error the sample goes to the scalar
-    /// queue (which reproduces the error under the quarantine contract).
-    fn start(
-        cfg: &McConfig,
-        index: usize,
-        phase: &PhaseKind,
-        runner: &mut BatchRunner,
-        lane: usize,
-        search: &OffsetSearch,
-    ) -> Result<LaneJob, ()> {
-        let sa = build_sample(cfg, index);
-        let (fsm, drive) = match phase {
-            PhaseKind::Offset => {
-                let fsm = OffsetFsm::new(&cfg.probe, sa.env.vdd, search);
-                let drive =
-                    DriveSpec::offset_probe(0.0, &cfg.env, cfg.probe.t_enable, cfg.probe.edge);
-                (Fsm::Offset(fsm), drive)
-            }
-            PhaseKind::Delay {
-                swing,
-                zero_fraction,
-            } => {
-                let fsm = DelayFsm::new(*zero_fraction);
-                let drive =
-                    DriveSpec::delay_probe(fsm.current_read(), *swing, &cfg.env, &cfg.probe);
-                (Fsm::Delay(fsm, *swing), drive)
-            }
-        };
-        let net = sa.build_netlist(&drive);
-        let mut job = LaneJob {
-            index,
-            sa,
-            net,
-            fsm,
-        };
-        job.start_current(cfg, runner, lane).map_err(|_| ())?;
-        Ok(job)
-    }
-
     /// Starts the FSM's current probe on `lane`: swaps the bitline
     /// waveforms to this probe's drive and launches the transient with
     /// the *shared* parameter builders — the identical `TranParams` the
@@ -277,140 +449,10 @@ impl LaneJob {
     }
 }
 
-/// The shared batch driver: refills idle lanes from the index queue,
-/// advances all lanes in lockstep slices, and reruns peeled-off samples
-/// on the scalar path at the end.
-fn run_batch(
-    cfg: &McConfig,
-    indices: &[usize],
-    phase: &PhaseKind,
-    cancel: Option<&CancelToken>,
-    hooks: &mut dyn BatchHooks,
-) -> Option<Vec<(usize, SampleRun)>> {
-    if indices.is_empty() {
-        return Some(Vec::new());
-    }
-    // Structural template: probe drives differ per sample/probe but the
-    // netlist topology is fixed by (kind, sizing), which is all the
-    // runner's monomorphized engine keys on.
-    let template_drive = match phase {
-        PhaseKind::Offset => {
-            DriveSpec::offset_probe(0.0, &cfg.env, cfg.probe.t_enable, cfg.probe.edge)
-        }
-        PhaseKind::Delay { swing, .. } => {
-            DriveSpec::delay_probe(false, *swing, &cfg.env, &cfg.probe)
-        }
-    };
-    let mut template_sa = SaInstance::fresh(cfg.kind, cfg.env);
-    template_sa.sizing = cfg.sizing;
-    let template = template_sa.build_netlist(&template_drive);
-    let mut runner = BatchRunner::new(&template, cfg.batch_lanes)?;
-    let width = runner.lane_width();
-
-    // Fault-plan–targeted samples never enter a lane: FaultScope is
-    // thread-local, so arming it would inject into every lane on this
-    // thread. The scalar rerun arms it per sample, as designed.
-    let fault_targets: Vec<usize> = cfg
-        .fault_plan
-        .as_deref()
-        .map(issa_circuit::FaultPlan::samples)
-        .unwrap_or_default();
-
-    let mut queue = indices.iter().copied();
-    let mut scalar_queue: Vec<usize> = Vec::new();
-    let mut jobs: Vec<Option<LaneJob>> = (0..width).map(|_| None).collect();
-    // One warm-start carrier per lane, like one per scalar shard. The
-    // carrier changes probe order, never results, so the lane→sample
-    // assignment (which depends on completion timing) is bit-safe.
-    let mut searches: Vec<OffsetSearch> = vec![OffsetSearch::default(); width];
-    let mut done: Vec<(usize, SampleRun)> = Vec::new();
-    let mut events: Vec<LaneEvent> = Vec::new();
-    let mut stopped = false;
-
-    loop {
-        // Refill idle lanes from the queue.
-        for lane in 0..width {
-            if jobs[lane].is_some() {
-                continue;
-            }
-            for index in queue.by_ref() {
-                if fault_targets.contains(&index) {
-                    scalar_queue.push(index);
-                    continue;
-                }
-                match LaneJob::start(cfg, index, phase, &mut runner, lane, &searches[lane]) {
-                    Ok(job) => {
-                        jobs[lane] = Some(job);
-                        break;
-                    }
-                    Err(()) => scalar_queue.push(index),
-                }
-            }
-        }
-        if !runner.any_active() {
-            break;
-        }
-        if cancel.is_some_and(CancelToken::is_cancelled) || !hooks.on_slice() {
-            stopped = true;
-            break;
-        }
-        runner.step_rounds(SLICE_ROUNDS, &mut events);
-        for ev in events.drain(..) {
-            let mut job = jobs[ev.lane].take().expect("event from a lane with a job");
-            match ev.outcome {
-                // Lane transient error: the batch engine has no recovery
-                // ladder, so the scalar rerun (which has one) decides
-                // whether the sample survives or how it is quarantined.
-                Err(_) => scalar_queue.push(job.index),
-                Ok(()) => match job.advance(&runner, ev.lane, &mut searches[ev.lane]) {
-                    Advance::Next => match job.start_current(cfg, &mut runner, ev.lane) {
-                        Ok(()) => jobs[ev.lane] = Some(job),
-                        Err(_) => scalar_queue.push(job.index),
-                    },
-                    Advance::Done(v) => {
-                        let run = SampleRun::Done(v);
-                        hooks.on_sample(job.index, &run);
-                        done.push((job.index, run));
-                    }
-                    Advance::Scalar => scalar_queue.push(job.index),
-                },
-            }
-        }
-    }
-
-    // Peeled-off samples rerun whole on the scalar path: bit-identical
-    // values, bit-identical failure records (recovery ladder, fault
-    // arming, panic isolation — the full quarantine contract). A fresh
-    // carrier per rerun keeps each independent of batch scheduling;
-    // carriers never change results anyway.
-    if !stopped {
-        for index in scalar_queue {
-            if cancel.is_some_and(CancelToken::is_cancelled) || !hooks.on_slice() {
-                break;
-            }
-            issa_circuit::perf::record_scalar_fallback();
-            let run = match phase {
-                PhaseKind::Offset => {
-                    run_offset_sample_with(cfg, index, cancel, &mut OffsetSearch::default())
-                }
-                PhaseKind::Delay { swing, .. } => run_delay_sample(cfg, index, *swing, cancel),
-            };
-            if matches!(run, SampleRun::Cancelled) {
-                break;
-            }
-            hooks.on_sample(index, &run);
-            done.push((index, run));
-        }
-    }
-
-    done.sort_by_key(|&(i, _)| i);
-    Some(done)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::montecarlo::{run_delay_sample, McPhase, SampleFailure};
+    use crate::montecarlo::FailureKind;
     use crate::netlist::SaKind;
     use crate::workload::{ReadSequence, Workload};
     use issa_ptm45::Environment;
@@ -427,26 +469,41 @@ mod tests {
         cfg
     }
 
-    fn scalar_offsets(cfg: &McConfig, indices: &[usize]) -> Vec<(usize, SampleRun)> {
+    fn outcome(run: SampleRun) -> SampleOutcome {
+        match run {
+            SampleRun::Done(v) => Ok(v),
+            SampleRun::Failed(f) => Err(f),
+            SampleRun::Cancelled => panic!("nothing cancels here"),
+        }
+    }
+
+    fn scalar_offsets(cfg: &McConfig, indices: &[usize]) -> Vec<(usize, SampleOutcome)> {
         let mut search = OffsetSearch::default();
         indices
             .iter()
-            .map(|&i| (i, run_offset_sample_with(cfg, i, None, &mut search)))
+            .map(|&i| {
+                (
+                    i,
+                    outcome(run_offset_sample_with(cfg, i, None, &mut search)),
+                )
+            })
             .collect()
     }
 
     /// Strips the nondeterministic recovery attribution for comparison
     /// (the scalar rerun recomputes it on a different thread-local).
-    fn key(run: &SampleRun) -> (Option<u64>, Option<(usize, McPhase, String)>) {
-        match run {
-            SampleRun::Done(v) => (Some(v.to_bits()), None),
-            SampleRun::Failed(SampleFailure {
-                index,
-                phase,
-                error,
-                ..
-            }) => (None, Some((*index, *phase, error.clone()))),
-            SampleRun::Cancelled => (None, None),
+    fn key(outcome: &SampleOutcome) -> Result<u64, (usize, McPhase, String)> {
+        match outcome {
+            Ok(v) => Ok(v.to_bits()),
+            Err(f) => Err((f.index, f.phase, f.error.clone())),
+        }
+    }
+
+    fn assert_same(a: &[(usize, SampleOutcome)], b: &[(usize, SampleOutcome)]) {
+        assert_eq!(a.len(), b.len());
+        for ((ai, ao), (bi, bo)) in a.iter().zip(b) {
+            assert_eq!(ai, bi);
+            assert_eq!(key(ao), key(bo), "sample {ai}");
         }
     }
 
@@ -454,14 +511,8 @@ mod tests {
     fn batched_offsets_are_bit_identical_to_scalar() {
         let cfg = cfg(6);
         let indices: Vec<usize> = (0..cfg.samples).collect();
-        let batched = run_offset_batch(&cfg, &indices, None, &mut NoHooks)
-            .expect("ISSA at default options must be batchable");
-        let scalar = scalar_offsets(&cfg, &indices);
-        assert_eq!(batched.len(), scalar.len());
-        for ((bi, br), (si, sr)) in batched.iter().zip(&scalar) {
-            assert_eq!(bi, si);
-            assert_eq!(key(br), key(sr), "sample {bi}");
-        }
+        let batched = run_samples(&cfg, SamplePhase::Offset, &indices, None, &mut NoHooks);
+        assert_same(&batched, &scalar_offsets(&cfg, &indices));
     }
 
     #[test]
@@ -469,17 +520,13 @@ mod tests {
         let cfg = cfg(4);
         let indices: Vec<usize> = (0..cfg.samples).collect();
         let swing = 0.1 * cfg.env.vdd;
-        let batched = run_delay_batch(&cfg, &indices, swing, None, &mut NoHooks)
-            .expect("ISSA at default options must be batchable");
-        let scalar: Vec<(usize, SampleRun)> = indices
+        let phase = SamplePhase::Delay(swing);
+        let batched = run_samples(&cfg, phase, &indices, None, &mut NoHooks);
+        let scalar: Vec<(usize, SampleOutcome)> = indices
             .iter()
-            .map(|&i| (i, run_delay_sample(&cfg, i, swing, None)))
+            .map(|&i| (i, outcome(run_delay_sample(&cfg, i, swing, None))))
             .collect();
-        assert_eq!(batched.len(), scalar.len());
-        for ((bi, br), (si, sr)) in batched.iter().zip(&scalar) {
-            assert_eq!(bi, si);
-            assert_eq!(key(br), key(sr), "sample {bi}");
-        }
+        assert_same(&batched, &scalar);
     }
 
     #[test]
@@ -492,7 +539,7 @@ mod tests {
         cfg.max_failure_frac = 1.0;
         let indices: Vec<usize> = (0..cfg.samples).collect();
         let before = issa_circuit::perf::snapshot();
-        let batched = run_offset_batch(&cfg, &indices, None, &mut NoHooks).expect("batchable");
+        let batched = run_samples(&cfg, SamplePhase::Offset, &indices, None, &mut NoHooks);
         let fallbacks = issa_circuit::perf::snapshot()
             .delta_since(&before)
             .scalar_fallbacks;
@@ -500,60 +547,121 @@ mod tests {
             fallbacks >= indices.len() as u64,
             "every sample must have fallen back (saw {fallbacks})"
         );
-        let scalar = scalar_offsets(&cfg, &indices);
-        for ((bi, br), (si, sr)) in batched.iter().zip(&scalar) {
-            assert_eq!(bi, si);
-            assert_eq!(key(br), key(sr), "sample {bi}");
-        }
+        assert_same(&batched, &scalar_offsets(&cfg, &indices));
     }
 
     #[test]
     fn empty_index_list_is_a_noop() {
         let cfg = cfg(2);
-        assert_eq!(
-            run_offset_batch(&cfg, &[], None, &mut NoHooks),
-            Some(Vec::new())
-        );
+        assert!(run_samples(&cfg, SamplePhase::Offset, &[], None, &mut NoHooks).is_empty());
+    }
+
+    /// Every config the route decision sends to the scalar route gives
+    /// what lanes 0 gives, runs no lockstep round and counts no
+    /// fallback. The budgets trip on every sample, so the lockstep route
+    /// (which cannot enforce them) would return values instead.
+    #[test]
+    fn scalar_route_configs_match_lanes_zero_without_fallbacks() {
+        let indices = [0, 1, 2];
+        let lanes8 = McConfig {
+            batch_lanes: 8,
+            max_failure_frac: 1.0,
+            ..cfg(indices.len())
+        };
+        let routed = [
+            (
+                "lanes 1",
+                McConfig {
+                    batch_lanes: 1,
+                    ..lanes8.clone()
+                },
+            ),
+            (
+                "step budget",
+                McConfig {
+                    sample_step_budget: Some(1),
+                    ..lanes8.clone()
+                },
+            ),
+            (
+                "wall budget",
+                McConfig {
+                    sample_wall_budget_s: Some(0.0),
+                    ..lanes8.clone()
+                },
+            ),
+            (
+                "vin_max 0",
+                McConfig {
+                    probe: crate::probe::ProbeOptions {
+                        vin_max: 0.0,
+                        ..lanes8.probe
+                    },
+                    ..lanes8.clone()
+                },
+            ),
+        ];
+        for (name, cfg) in routed {
+            let before = issa_circuit::perf::thread_snapshot();
+            let got = run_samples(&cfg, SamplePhase::Offset, &indices, None, &mut NoHooks);
+            let spent = issa_circuit::perf::thread_snapshot().delta_since(&before);
+            assert_eq!(spent.batched_steps, 0, "{name}: no lockstep round");
+            assert_eq!(spent.scalar_fallbacks, 0, "{name}: nothing falls back");
+            let budgeted = cfg.sample_step_budget.is_some() || cfg.sample_wall_budget_s.is_some();
+            let lanes0 = McConfig {
+                batch_lanes: 0,
+                ..cfg
+            };
+            let want = run_samples(&lanes0, SamplePhase::Offset, &indices, None, &mut NoHooks);
+            assert_eq!(got.len(), indices.len(), "{name}");
+            assert_eq!(want.len(), indices.len(), "{name}");
+            for ((gi, go), (wi, wo)) in got.iter().zip(&want) {
+                assert_eq!(gi, wi, "{name}");
+                match (go, wo) {
+                    (Ok(g), Ok(w)) => assert_eq!(g.to_bits(), w.to_bits(), "{name}: sample {gi}"),
+                    _ => assert_eq!(go, wo, "{name}: sample {gi}"),
+                }
+                if budgeted {
+                    assert!(
+                        matches!(wo, Err(f) if f.kind == FailureKind::TimedOut),
+                        "{name}: the budget trips on sample {wi}: {wo:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
-    fn lane_count_below_two_is_unsupported() {
-        let mut cfg = cfg(2);
-        cfg.batch_lanes = 1;
-        assert!(run_offset_batch(&cfg, &[0, 1], None, &mut NoHooks).is_none());
-        assert!(!batching_enabled(&cfg));
-        cfg.batch_lanes = 4;
-        assert!(batching_enabled(&cfg));
-        cfg.sample_step_budget = Some(1_000_000);
-        assert!(!batching_enabled(&cfg));
-    }
-
-    #[test]
-    fn hooks_observe_every_completion_and_can_stop_the_batch() {
+    fn hooks_observe_every_completion_and_can_stop_the_list() {
         struct Counting {
             seen: Vec<usize>,
         }
         impl BatchHooks for Counting {
-            fn on_sample(&mut self, index: usize, _run: &SampleRun) {
+            fn on_sample(&mut self, index: usize, _outcome: Result<f64, &SampleFailure>) {
                 self.seen.push(index);
             }
         }
-        let cfg = cfg(4);
-        let indices: Vec<usize> = (0..cfg.samples).collect();
-        let mut hooks = Counting { seen: Vec::new() };
-        let runs = run_offset_batch(&cfg, &indices, None, &mut hooks).expect("batchable");
-        let mut seen = hooks.seen;
-        seen.sort_unstable();
-        assert_eq!(seen, indices);
-        assert_eq!(runs.len(), indices.len());
-
         struct StopNow;
         impl BatchHooks for StopNow {
             fn on_slice(&mut self) -> bool {
                 false
             }
         }
-        let stopped = run_offset_batch(&cfg, &indices, None, &mut StopNow).expect("batchable");
-        assert!(stopped.len() < indices.len());
+        for lanes in [0, 4] {
+            let cfg = McConfig {
+                batch_lanes: lanes,
+                ..cfg(4)
+            };
+            let indices: Vec<usize> = (0..cfg.samples).collect();
+            let mut hooks = Counting { seen: Vec::new() };
+            let runs = run_samples(&cfg, SamplePhase::Offset, &indices, None, &mut hooks);
+            let mut seen = hooks.seen;
+            seen.sort_unstable();
+            assert_eq!(seen, indices, "lanes {lanes}");
+            assert_eq!(runs.len(), indices.len(), "lanes {lanes}");
+
+            let stopped = run_samples(&cfg, SamplePhase::Offset, &indices, None, &mut StopNow);
+            assert!(stopped.len() < indices.len(), "lanes {lanes}");
+        }
     }
 }

@@ -29,6 +29,7 @@
 //! sample is built from its own seed-tree path, so a dead neighbour
 //! cannot perturb anyone else's draw or probe.
 
+use crate::batch::{run_samples, BatchHooks, SampleOutcome, SamplePhase};
 use crate::calib;
 use crate::netlist::{SaInstance, SaKind, SaSizing};
 use crate::probe::{OffsetSearch, ProbeOptions};
@@ -228,13 +229,14 @@ pub struct McConfig {
     /// Worker threads for the sample loop (samples are independent; the
     /// result is identical for any thread count). 0 = one per core.
     pub threads: usize,
-    /// Batched lockstep lanes for the sample loops: when > 1 (and no
-    /// per-sample watchdog budget is armed), each worker shard advances
-    /// up to this many samples' probe transients in lockstep through one
-    /// structure-of-arrays Newton solve (see [`crate::batch`]). Results
-    /// are bit-identical to the scalar path for any lane count — lanes
-    /// change how samples are *scheduled*, never what they compute.
-    /// 0 or 1 (the default) selects the scalar path.
+    /// Batched lockstep lanes for [`run_samples`]: when > 1, each shard
+    /// or worker unit advances up to this many samples' probe transients
+    /// in lockstep through one structure-of-arrays Newton solve, unless
+    /// the route decision there sends the list down the scalar route
+    /// (per-sample budgets, invalid probe options, an unsupported
+    /// system). Results are bit-identical to the scalar route for any
+    /// lane count — lanes change how samples are *scheduled*, never what
+    /// they compute. 0 or 1 (the default) selects the scalar route.
     pub batch_lanes: usize,
     /// Fraction of samples allowed to fail (after solver recovery) before
     /// the whole run errors with [`SaError::FailureBudgetExceeded`].
@@ -640,13 +642,11 @@ impl fmt::Debug for McControl<'_> {
     }
 }
 
-/// Outcome of one guarded sample run — the unit a distribution layer
-/// ships between processes: every sample is a pure function of
-/// `(cfg, index)`, so a [`SampleRun::Done`] value computed by any worker,
-/// on any machine, is bit-identical to the one the in-process loop would
-/// have produced.
+/// Outcome of one guarded sample run. Every sample is a pure function of
+/// `(cfg, index)`, so a [`SampleRun::Done`] value computed on any shard,
+/// lane or worker, on any machine, is bit-identical.
 #[derive(Debug, Clone, PartialEq)]
-pub enum SampleRun {
+pub(crate) enum SampleRun {
     /// The measurement completed (offset volts or delay seconds).
     Done(f64),
     /// The sample is quarantined (solver failure, panic, or watchdog
@@ -725,11 +725,13 @@ fn guarded_sample(
 
 /// Runs one offset-phase sample under the full quarantine contract
 /// (fault-plan arming, per-sample watchdog, panic isolation, recovery
-/// attribution) — the entry point a distribution worker uses. Carrying
-/// one [`OffsetSearch`] across consecutive samples starts each search at
-/// the previous flip cell and gain; the carrier changes probe order, never
-/// the result.
-pub fn run_offset_sample_with(
+/// attribution) — the per-sample step of [`run_samples`]' scalar route.
+/// Carrying one [`OffsetSearch`] across consecutive samples starts each
+/// search at the previous flip cell and gain; the carrier changes probe
+/// order, never the result (the flip cell on the fixed search grid is
+/// unique), so neither thread count nor a quarantined or restored
+/// neighbour can change a sample's offset.
+pub(crate) fn run_offset_sample_with(
     cfg: &McConfig,
     index: usize,
     cancel: Option<&CancelToken>,
@@ -746,7 +748,7 @@ pub fn run_offset_sample_with(
 /// from the offset distribution by [`delay_swing_volts`] — so a worker
 /// that never saw the other samples still measures at exactly the swing
 /// a single-process run would have used.
-pub fn run_delay_sample(
+pub(crate) fn run_delay_sample(
     cfg: &McConfig,
     index: usize,
     swing_volts: f64,
@@ -921,22 +923,7 @@ pub fn run_mc_controlled(cfg: &McConfig, ctl: &McControl<'_>) -> Result<McResult
 
     // Phase 1 — offsets. Each sample is fully determined by its index, so
     // the loop splits into independent strided shards that merge by index.
-    // Each shard threads one OffsetSearch through its samples: the search
-    // starts from the previous flip cell and gain, which changes the probe
-    // order but not the result (the flip cell on the fixed search grid is
-    // unique), so the offsets stay identical for any thread count — and a
-    // quarantined or restored sample cannot perturb its shard-mates for
-    // the same reason.
-    let offset_runs = run_phase(
-        cfg,
-        ctl,
-        McPhase::Offset,
-        &offset_done,
-        threads,
-        work,
-        |todo, hooks| crate::batch::run_offset_batch(cfg, todo, ctl.cancel, hooks),
-        |i, search| run_offset_sample_with(cfg, i, ctl.cancel, search),
-    );
+    let offset_runs = run_phase(cfg, ctl, SamplePhase::Offset, &offset_done, threads, work);
     for (i, r) in offset_runs {
         match r {
             Ok(offset) => offsets_by_index[i] = Some(offset),
@@ -998,12 +985,10 @@ pub fn run_mc_controlled(cfg: &McConfig, ctl: &McControl<'_>) -> Result<McResult
         let delay_runs = run_phase(
             cfg,
             ctl,
-            McPhase::Delay,
+            SamplePhase::Delay(swing),
             &delay_skip,
             threads.min(delay_count),
             work,
-            |todo, hooks| crate::batch::run_delay_batch(cfg, todo, swing, ctl.cancel, hooks),
-            |i, _| run_delay_sample(cfg, i, swing, ctl.cancel),
         );
         for (i, r) in delay_runs {
             match r {
@@ -1072,60 +1057,35 @@ pub fn run_mc_controlled(cfg: &McConfig, ctl: &McControl<'_>) -> Result<McResult
     })
 }
 
-/// Computes the samples of one phase on `threads` strided shards — each
-/// a lockstep batch where the config allows (bit-identical to the scalar
-/// loop, see [`crate::batch`]; `None` from `batch` means not batchable),
-/// otherwise the scalar loop over `scalar`, which threads one
-/// [`OffsetSearch`] through the shard's samples. Indices marked in `skip`
-/// are left alone, a cancellation stops the shard, and every finished
-/// sample is reported to the observer as it completes. A shard that dies
-/// outside sample isolation is attributed to its first index.
-#[allow(clippy::too_many_arguments)]
+/// Computes the samples of one phase on `threads` strided shards, each
+/// one [`run_samples`] call over the shard's indices. Indices marked in
+/// `skip` are left alone, a cancellation stops the shard, and every
+/// finished sample is reported to the observer as it completes. A shard
+/// that dies outside sample isolation is attributed to its first index.
 fn run_phase(
     cfg: &McConfig,
     ctl: &McControl<'_>,
-    phase: McPhase,
+    phase: SamplePhase,
     skip: &[bool],
     threads: usize,
     work: &std::sync::Mutex<Work>,
-    batch: impl Fn(&[usize], &mut dyn crate::batch::BatchHooks) -> Option<Vec<(usize, SampleRun)>>
-        + Sync,
-    scalar: impl Fn(usize, &mut OffsetSearch) -> SampleRun + Sync,
-) -> Vec<(usize, Result<f64, SampleFailure>)> {
-    let use_batch = crate::batch::batching_enabled(cfg);
-    let (batch, scalar) = (&batch, &scalar);
+) -> Vec<(usize, SampleOutcome)> {
+    let mc_phase = phase.mc_phase();
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|shard| {
                 scope.spawn(move || {
                     counted(work, || {
-                        let todo = (shard..skip.len()).step_by(threads).filter(|&i| !skip[i]);
+                        let todo: Vec<usize> = (shard..skip.len())
+                            .step_by(threads)
+                            .filter(|&i| !skip[i])
+                            .collect();
                         let mut hooks = ObserverHooks {
                             cfg,
-                            phase,
+                            phase: mc_phase,
                             observer: ctl.observer,
                         };
-                        if use_batch {
-                            let todo: Vec<usize> = todo.clone().collect();
-                            if let Some(runs) = batch(&todo, &mut hooks) {
-                                return collect_batch_runs(runs);
-                            }
-                        }
-                        let mut local = Vec::new();
-                        let mut search = OffsetSearch::default();
-                        for i in todo {
-                            if ctl.cancel.is_some_and(CancelToken::is_cancelled) {
-                                break;
-                            }
-                            let run = scalar(i, &mut search);
-                            crate::batch::BatchHooks::on_sample(&mut hooks, i, &run);
-                            match run {
-                                SampleRun::Done(v) => local.push((i, Ok(v))),
-                                SampleRun::Failed(f) => local.push((i, Err(f))),
-                                SampleRun::Cancelled => break,
-                            }
-                        }
-                        local
+                        run_samples(cfg, phase, &todo, ctl.cancel, &mut hooks)
                     })
                 })
             })
@@ -1145,7 +1105,7 @@ fn run_phase(
                             index: shard,
                             seed: cfg.seed,
                             corner: cfg.corner_label(),
-                            phase,
+                            phase: mc_phase,
                             kind: FailureKind::Panic,
                             error: format!(
                                 "worker panicked outside sample isolation: {}",
@@ -1168,38 +1128,18 @@ struct ObserverHooks<'a> {
     observer: Option<&'a dyn McObserver>,
 }
 
-impl crate::batch::BatchHooks for ObserverHooks<'_> {
-    fn on_sample(&mut self, index: usize, run: &SampleRun) {
+impl BatchHooks for ObserverHooks<'_> {
+    fn on_sample(&mut self, index: usize, outcome: Result<f64, &SampleFailure>) {
         if let Some(obs) = self.observer {
-            match run {
-                SampleRun::Done(v) => {
-                    obs.sample_finished(self.phase, index, Ok(*v));
-                    if self.phase == McPhase::Offset {
-                        let lw = crate::tail::tail_log_weight(self.cfg, index);
-                        if lw != 0.0 {
-                            obs.sample_weight(index, lw);
-                        }
-                    }
+            obs.sample_finished(self.phase, index, outcome);
+            if outcome.is_ok() && self.phase == McPhase::Offset {
+                let lw = crate::tail::tail_log_weight(self.cfg, index);
+                if lw != 0.0 {
+                    obs.sample_weight(index, lw);
                 }
-                SampleRun::Failed(f) => obs.sample_finished(self.phase, index, Err(f)),
-                SampleRun::Cancelled => {}
             }
         }
     }
-}
-
-/// Maps a batch driver's output into the shard-local result vector the
-/// merge loops expect. Cancelled samples are absent from the batch
-/// output — uncomputed, exactly like the samples the scalar loop's
-/// `break` never reached.
-fn collect_batch_runs(runs: Vec<(usize, SampleRun)>) -> Vec<(usize, Result<f64, SampleFailure>)> {
-    runs.into_iter()
-        .filter_map(|(i, run)| match run {
-            SampleRun::Done(v) => Some((i, Ok(v))),
-            SampleRun::Failed(f) => Some((i, Err(f))),
-            SampleRun::Cancelled => None,
-        })
-        .collect()
 }
 
 /// Enforces [`McConfig::max_failure_frac`]: sorts the quarantine list by

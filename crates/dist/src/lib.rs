@@ -9,11 +9,11 @@
 //! [`issa_core::montecarlo`]). The in-process engine already exploits
 //! that to make results thread-count invariant — *threads are
 //! scheduling, not physics*. This crate extends the same argument to
-//! processes: a worker computes `SampleRun`s with literally the same
-//! entry points the in-process shard loops use
-//! ([`issa_core::montecarlo::run_offset_sample_with`],
-//! [`issa_core::montecarlo::run_delay_sample`]), the coordinator merges
-//! them by index into an [`issa_core::montecarlo::McResume`], and the
+//! processes: a worker computes each unit with literally the same sample
+//! loop the in-process shards call ([`issa_core::batch::run_samples`],
+//! which also makes the same lockstep-or-scalar route decision), the
+//! coordinator merges the records by index into an
+//! [`issa_core::montecarlo::McResume`], and the
 //! final statistics are assembled by
 //! [`issa_core::montecarlo::run_mc_controlled`] exactly as a resumed
 //! local run would. Workers are scheduling, not physics.

@@ -1,6 +1,7 @@
 //! The worker side: connect, hand-shake, compute assigned units with the
-//! exact same sample entry points the in-process engine uses, heartbeat
-//! between samples, reconnect after transport faults.
+//! exact same sample loop the in-process engine uses
+//! ([`issa_core::batch::run_samples`]), heartbeat while computing,
+//! reconnect after transport faults.
 //!
 //! A worker never serializes configurations: it builds every corner's
 //! [`McConfig`] from its own command line and proves agreement with the
@@ -15,13 +16,10 @@ use crate::proto::{
 };
 use crate::DistError;
 use issa_circuit::PerfSnapshot;
-use issa_core::batch::{batching_enabled, run_delay_batch, run_offset_batch, BatchHooks};
+use issa_core::batch::{run_samples, BatchHooks, SamplePhase};
 use issa_core::campaign::CampaignCorner;
 use issa_core::durable::Fnv64;
-use issa_core::montecarlo::{
-    run_delay_sample, run_offset_sample_with, McConfig, McPhase, SampleRun,
-};
-use issa_core::probe::OffsetSearch;
+use issa_core::montecarlo::{McConfig, McPhase};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -39,9 +37,9 @@ pub struct WorkerOptions {
     pub reconnect: bool,
     /// Pause between connection attempts.
     pub reconnect_backoff: Duration,
-    /// Send a `ping` between samples when this much time has passed
-    /// since the last message — bounds how stale the coordinator's
-    /// liveness view can get while a unit computes.
+    /// Send a `ping` between samples (or lockstep slices) when this much
+    /// time has passed since the last message — bounds how stale the
+    /// coordinator's liveness view can get while a unit computes.
     pub heartbeat_interval: Duration,
     /// Socket read deadline while waiting for a reply.
     pub read_timeout: Duration,
@@ -231,31 +229,28 @@ fn session(
                     // reassign the unit.
                     return Ok(SessionEnd::Died);
                 }
-                if !opts.unit_delay.is_zero() {
-                    // Scripted straggling: hold the lease idle. Sleep in
-                    // heartbeat-sized slices so the coordinator still
-                    // sees a live (just slow) worker.
-                    let until = Instant::now() + opts.unit_delay;
-                    loop {
-                        let left = until.saturating_duration_since(Instant::now());
-                        if left.is_zero() {
-                            break;
-                        }
-                        std::thread::sleep(
-                            left.min(opts.heartbeat_interval / 2)
-                                .max(Duration::from_millis(1)),
-                        );
-                        match call(frames, &Msg::Ping { worker_id })? {
-                            Msg::Ok => {}
-                            other => {
-                                return Err(DistError::Proto(format!(
-                                    "expected heartbeat ok, got {other:?}"
-                                )))
-                            }
-                        }
+                let mut hooks = HeartbeatHooks {
+                    frames,
+                    worker_id,
+                    last_contact: Instant::now(),
+                    interval: opts.heartbeat_interval,
+                    err: None,
+                };
+                // Scripted straggling: hold the lease idle, sleeping in
+                // heartbeat-sized slices so the coordinator still sees a
+                // live (just slow) worker.
+                let until = Instant::now() + opts.unit_delay;
+                loop {
+                    let left = until.saturating_duration_since(Instant::now());
+                    if left.is_zero() || !hooks.on_slice() {
+                        break;
                     }
+                    std::thread::sleep(left.min(opts.heartbeat_interval));
                 }
-                let result = compute_unit(&a, worker_id, corners, opts, frames, stats)?;
+                if let Some(e) = hooks.err.take() {
+                    return Err(e);
+                }
+                let result = compute_unit(&a, corners, &mut hooks, stats)?;
                 match call(frames, &Msg::Result(Box::new(result)))? {
                     Msg::Ack { unit_id } if unit_id == a.unit_id => stats.units_done += 1,
                     other => {
@@ -293,15 +288,15 @@ fn call(frames: &mut FrameStream<TcpStream>, msg: &Msg) -> Result<Msg, DistError
     Msg::from_bytes(&payload).map_err(DistError::Proto)
 }
 
-/// [`BatchHooks`] that heartbeat the coordinator between lockstep
-/// slices, exactly like the scalar loop pings between samples — so a
-/// long batched unit cannot look dead. A transport failure is stashed
-/// (the hook signature cannot return it) and stops the batch; the
-/// caller rethrows it.
+/// [`BatchHooks`] that heartbeat the coordinator while a unit is held:
+/// between samples and lockstep slices, so a long unit cannot look dead,
+/// and through a scripted straggle. A transport failure is stashed (the
+/// hook signature cannot return it) and stops the unit; the caller
+/// rethrows it.
 struct HeartbeatHooks<'a> {
     frames: &'a mut FrameStream<TcpStream>,
     worker_id: u64,
-    last_contact: &'a mut Instant,
+    last_contact: Instant,
     interval: Duration,
     err: Option<DistError>,
 }
@@ -318,7 +313,7 @@ impl BatchHooks for HeartbeatHooks<'_> {
             },
         ) {
             Ok(Msg::Ok) => {
-                *self.last_contact = Instant::now();
+                self.last_contact = Instant::now();
                 true
             }
             Ok(other) => {
@@ -335,16 +330,14 @@ impl BatchHooks for HeartbeatHooks<'_> {
     }
 }
 
-/// Computes one unit with the same entry points the in-process shard
-/// loops use — so a distributed sample is *literally the same function
-/// call* as a local one, and bit-identity follows from purity rather
-/// than from careful reimplementation.
+/// Computes one unit with the sample loop the in-process shards use — so
+/// a distributed unit is *literally the same function call* as a local
+/// shard, and bit-identity follows from purity rather than from careful
+/// reimplementation.
 fn compute_unit(
     a: &UnitAssignment,
-    worker_id: u64,
     corners: &[CampaignCorner],
-    opts: &WorkerOptions,
-    frames: &mut FrameStream<TcpStream>,
+    hooks: &mut HeartbeatHooks<'_>,
     stats: &mut WorkerStats,
 ) -> Result<UnitResult, DistError> {
     let corner = corners
@@ -370,82 +363,30 @@ fn compute_unit(
     let cfg = tail_cfg.as_ref().unwrap_or(cfg);
     let mut result = UnitResult {
         unit_id: a.unit_id,
-        worker_id,
+        worker_id: hooks.worker_id,
         ..UnitResult::default()
     };
     // Thread-scoped counters: the unit runs entirely on this thread, so
     // the delta is its own work even with other workers in the process.
     let circuit_before = issa_circuit::perf::thread_snapshot();
     let sense_before = issa_core::perf::thread_sense_calls();
-    // One warm-started search per unit, exactly like one shard's loop:
-    // the carrier changes probe order, never the result.
-    let mut search = OffsetSearch::default();
-    let mut last_contact = Instant::now();
-    let batched = if batching_enabled(cfg) {
-        // Batched lockstep over the assigned range — a worker-local
-        // scheduling choice, invisible on the wire (the unit's records
-        // are bit-identical to the scalar loop's below).
-        let indices: Vec<usize> = (a.start..a.end).collect();
-        let mut hooks = HeartbeatHooks {
-            frames,
-            worker_id,
-            last_contact: &mut last_contact,
-            interval: opts.heartbeat_interval,
-            err: None,
-        };
-        let runs = match a.phase {
-            McPhase::Offset => run_offset_batch(cfg, &indices, None, &mut hooks),
-            McPhase::Delay => run_delay_batch(cfg, &indices, a.swing_volts(), None, &mut hooks),
-        };
-        if let Some(e) = hooks.err {
-            return Err(e);
-        }
-        runs
-    } else {
-        None
+    let phase = match a.phase {
+        McPhase::Offset => SamplePhase::Offset,
+        McPhase::Delay => SamplePhase::Delay(a.swing_volts()),
     };
-    // Config not batchable: the scalar loop.
-    let runs = match batched {
-        Some(runs) => runs,
-        None => {
-            let mut runs = Vec::with_capacity(a.end.saturating_sub(a.start));
-            for index in a.start..a.end {
-                if last_contact.elapsed() >= opts.heartbeat_interval {
-                    match call(frames, &Msg::Ping { worker_id })? {
-                        Msg::Ok => last_contact = Instant::now(),
-                        other => {
-                            return Err(DistError::Proto(format!(
-                                "expected heartbeat ok, got {other:?}"
-                            )))
-                        }
-                    }
-                }
-                let run = match a.phase {
-                    McPhase::Offset => run_offset_sample_with(cfg, index, None, &mut search),
-                    McPhase::Delay => run_delay_sample(cfg, index, a.swing_volts(), None),
-                };
-                runs.push((index, run));
-            }
-            runs
-        }
-    };
-    for (index, run) in runs {
-        match run {
-            SampleRun::Done(v) => {
-                stats.samples_done += 1;
-                match a.phase {
-                    McPhase::Offset => result.offsets.push((index, v)),
-                    McPhase::Delay => result.delays.push((index, v)),
-                }
-            }
-            SampleRun::Failed(f) => {
-                stats.samples_done += 1;
-                result.failures.push(f);
-            }
-            // No campaign token is armed on workers, so this cannot
-            // fire; if it somehow does, the record is simply absent and
-            // the coordinator's final merge computes it locally.
-            SampleRun::Cancelled => {}
+    let indices: Vec<usize> = (a.start..a.end).collect();
+    // No campaign token is armed on workers: a unit stops early only on
+    // a heartbeat failure, which fails the whole unit.
+    let runs = run_samples(cfg, phase, &indices, None, hooks);
+    if let Some(e) = hooks.err.take() {
+        return Err(e);
+    }
+    for (index, outcome) in runs {
+        stats.samples_done += 1;
+        match (outcome, a.phase) {
+            (Ok(v), McPhase::Offset) => result.offsets.push((index, v)),
+            (Ok(v), McPhase::Delay) => result.delays.push((index, v)),
+            (Err(f), _) => result.failures.push(f),
         }
     }
     result.perf = unit_perf(&circuit_before, sense_before);

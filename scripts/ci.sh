@@ -261,11 +261,14 @@ echo "== chaos soak (full fault schedule, coordinator SIGKILL + resume) =="
 # faults, a crash-looping flaky worker, a straggler with speculation,
 # and a real SIGKILL of the coordinator child. The binary performs the
 # kill/resume/compare itself and exits nonzero on any byte mismatch.
+# The step budget never trips; it runs every leg (child coordinator,
+# workers, resume, clean reference) on the budgeted scalar route and
+# checks that the child receives the same fingerprinted budget.
 CHAOS_DIR=$(mktemp -d)
 trap 'rm -rf "$SMOKE_DIR" "$DIST_DIR" "$BATCH_DIR" "$CHAOS_DIR"' EXIT
 (
   cd "$CHAOS_DIR"
-  "$CAMPAIGN_BIN" chaos --samples 24 --chaos-seed 7 >chaos.log 2>&1 \
+  "$CAMPAIGN_BIN" chaos --samples 24 --chaos-seed 7 --step-budget 1000000000 >chaos.log 2>&1 \
     || { tail -40 chaos.log; exit 1; }
   grep "chaos soak PASS" chaos.log
 )

@@ -302,34 +302,86 @@ fn aborted_serve_resumes_bit_identically() {
 
 /// A `StallSteps`-injected sample trips its step budget on a *worker*,
 /// and the quarantine record that comes back over the wire is exactly
-/// the one the local watchdog produces.
+/// the one the local scalar watchdog produces, with lanes requested too.
 #[test]
 fn stalled_sample_quarantine_matches_local_run_bit_identically() {
     let plan = Arc::new(FaultPlan::new().transient(5, 2, FaultKind::StallSteps(2_000_000)));
-    let cfg = McConfig {
+    let scalar = McConfig {
         fault_plan: Some(plan),
         sample_step_budget: Some(1_000_000),
         max_failure_frac: 0.2,
+        batch_lanes: 0,
         ..base_cfg(0.8)
     };
-    let reference = run_mc(&cfg).unwrap();
+    let reference = run_mc(&scalar).unwrap();
     assert_eq!(reference.failures.len(), 1, "fixture: sample 5 must stall");
 
-    let corners = [corner("corner", cfg)];
-    let report = serve(
-        &corners,
-        &ServeOptions {
-            scheduler: test_scheduler(),
-            poll: Duration::from_millis(10),
-            loopback: vec![worker("w1"), worker("w2")],
-            ..ServeOptions::default()
-        },
+    for batch_lanes in [0, 8] {
+        let corners = [corner(
+            "corner",
+            McConfig {
+                batch_lanes,
+                ..scalar.clone()
+            },
+        )];
+        let report = serve(
+            &corners,
+            &ServeOptions {
+                scheduler: test_scheduler(),
+                poll: Duration::from_millis(10),
+                loopback: vec![worker("w1"), worker("w2")],
+                ..ServeOptions::default()
+            },
+        );
+
+        let result = report.campaign.result("corner").expect("completes");
+        assert_eq!(result, &reference, "lanes {batch_lanes}");
+        assert_eq!(result.failures[0].kind, FailureKind::TimedOut);
+        assert_eq!(result.failures[0].index, 5);
+    }
+}
+
+/// A step budget that every healthy sample exceeds fails the corner on
+/// the workers at any lane count, exactly as the local scalar run does:
+/// a budget sends a worker's units to the scalar route, where the
+/// watchdog can enforce it (the lockstep route cannot, and would return
+/// values instead).
+#[test]
+fn budget_every_sample_exceeds_fails_the_corner_at_any_lane_count() {
+    let scalar = McConfig {
+        sample_step_budget: Some(1),
+        batch_lanes: 0,
+        ..base_cfg(0.8)
+    };
+    let reference = run_mc(&scalar).expect_err("every sample times out");
+    assert!(
+        matches!(&reference, SaError::FailureBudgetExceeded { failures, .. }
+            if failures.iter().all(|f| f.kind == FailureKind::TimedOut)),
+        "fixture: {reference:?}"
     );
 
-    let result = report.campaign.result("corner").expect("completes");
-    assert_eq!(result, &reference);
-    assert_eq!(result.failures[0].kind, FailureKind::TimedOut);
-    assert_eq!(result.failures[0].index, 5);
+    for batch_lanes in [0, 8] {
+        let corners = [corner(
+            "corner",
+            McConfig {
+                batch_lanes,
+                ..scalar.clone()
+            },
+        )];
+        let report = serve(
+            &corners,
+            &ServeOptions {
+                scheduler: test_scheduler(),
+                poll: Duration::from_millis(10),
+                loopback: vec![worker("w1"), worker("w2")],
+                ..ServeOptions::default()
+            },
+        );
+        match &report.campaign.corners[0].outcome {
+            CornerOutcome::Failed(e) => assert_eq!(e, &reference, "lanes {batch_lanes}"),
+            other => panic!("lanes {batch_lanes}: expected a failure-budget error, got {other:?}"),
+        }
+    }
 }
 
 /// When every lease attempt dies, the unit is quarantined as `TimedOut`
